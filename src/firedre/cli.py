@@ -5,7 +5,9 @@ Subcommands: estimate | cv | simulate | downstream | resample.  Each takes
 and a fully resolved config echo into the output directory, and exits 0 on
 success, 2 on config validation failure, 3 on numerical failure (with a
 one-line JSON reason on stderr).  Re-running any command from its echoed
-config reproduces the outputs byte for byte, apart from the timestamp.
+config reproduces the outputs byte for byte, apart from the timestamp, on
+the same numpy/BLAS build with the same BLAS thread count (the last bits of
+BLAS results can change with either).
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError
-from .selection import fit_factory, kfold_cv, make_validation_set
+from .selection import fit_factory, kfold_cv, make_validation_set, worker_count
 from .solvers import (
     solve_combined,
     solve_rkhs_loss,
@@ -344,8 +346,9 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         return rows
 
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             packs = list(pool.map(one, tasks))
     else:
         packs = [one(task) for task in tasks]
@@ -505,7 +508,12 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="firedre_out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for independent cells")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="worker threads for independent cells (capped at the CPUs this process may use)",
+        )
     args = parser.parse_args(argv)
 
     cls = _COMMANDS[args.command][0]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cap on the element count of a single broadcast block in the pairwise
-# distance computation (block_rows * m * d floats)
-_BLOCK_ELEMS = 2 ** 22
+# elements per output row block in the pairwise distance computation
+# (block_rows * m floats, 512 KiB): the block and one scratch block of the
+# same size stay in a core's L2 cache while the coordinates are summed into it
+_BLOCK_ELEMS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,26 @@ def as_sample_matrix(X, name="X"):
 
 
 def _sq_dists(A, B):
-    # Row-blocked broadcast form: entry (i, j) is computed from rows i, j
-    # alone with a fixed reduction order over coordinates, so the result is
-    # exactly symmetric under swapping A and B (up to transpose) and does
-    # not depend on the block size.
+    # Entry (i, j) is the float64 sum of (A[i, k] - B[j, k])**2 over k,
+    # added in the fixed order k = 0, 1, ..., d-1.  It depends on rows i and
+    # j alone, so the result does not depend on the block size, D(A, B) is
+    # exactly D(B, A).T (negating a difference is exact), and the diagonal
+    # of D(A, A) is exactly zero.
     n, d = A.shape
     m = B.shape[0]
     out = np.empty((n, m))
-    block = max(1, _BLOCK_ELEMS // max(1, m * d))
+    block = max(1, _BLOCK_ELEMS // max(1, m))
+    scratch = np.empty((min(block, n), m))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = A[start:stop, None, :] - B[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+        acc = out[start:stop]
+        tmp = scratch[: stop - start]
+        np.subtract(A[start:stop, :1], B[:, 0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for k in range(1, d):
+            np.subtract(A[start:stop, k : k + 1], B[:, k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            acc += tmp
     return out
 
 
@@ -78,7 +87,9 @@ def gaussian_kernel_matrix(A, B, spec: KernelSpec):
     B = as_sample_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: A has d={A.shape[1]}, B has d={B.shape[1]}")
-    G = np.exp(_sq_dists(A, B) / (-2.0 * spec.t))
+    G = _sq_dists(A, B)
+    np.divide(G, -2.0 * spec.t, out=G)
+    np.exp(G, out=G)
     if spec.normalized:
         d = A.shape[1]
         G *= (2.0 * np.pi * spec.t) ** (-0.5 * d)

@@ -9,6 +9,7 @@ which vanishes in expectation at the true ratio.  kfold_cv minimizes the
 held-out J over a (t, lambda) grid.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -115,6 +116,19 @@ class CVResult:
     seed: int
 
 
+def worker_count(threads):
+    """Python workers to start for a request of ``threads``.
+
+    Capped at the CPUs this process may run on: more workers than CPUs only
+    contend with each other and with the BLAS threads each of them starts.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus))
+
+
 def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=True):
     """Build a fit(z_p_train, z_q, t, lams) callback for kfold_cv.
 
@@ -174,7 +188,8 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     full q-sample) and scored on the held-out p-points against all of z_q.
     Cell scores are fold means; a failed fit contributes +inf for that fold.
     Ties break toward the smallest t, then the largest lambda.  Deterministic
-    given the seed; the thread count only parallelizes independent cells.
+    given the seed; the thread count, capped by worker_count, only
+    parallelizes independent cells.
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -205,8 +220,9 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
         f, it, t, train_idx, val_idx, U_val = task
         return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q_means)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(task) for task in tasks]

@@ -74,12 +74,18 @@ class GramBundle:
     K_qq: np.ndarray | None = None
 
 
+def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec):
+    """K_pp = k(z_p, z_p) / n and K_H = k_h(z_p, z_p); one Gram serves both when k_h == k."""
+    G = gaussian_kernel_matrix(z_p, z_p, k)
+    K_H = G if k_h == k else gaussian_kernel_matrix(z_p, z_p, k_h)
+    return G / z_p.shape[0], K_H
+
+
 def gram_bundle(z_p, z_q, k: KernelSpec, k_h: KernelSpec):
     """Build the Gram matrices for samples z_p, z_q (z_q may be None)."""
     z_p = as_sample_matrix(z_p, "z_p")
     n = z_p.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    K_H = gaussian_kernel_matrix(z_p, z_p, k_h)
+    K_pp, K_H = _p_grams(z_p, k, k_h)
     if z_q is None:
         return GramBundle(K_pp=K_pp, K_H=K_H)
     z_q = as_sample_matrix(z_q, "z_q")
@@ -122,8 +128,7 @@ def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, 
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    K_H = gaussian_kernel_matrix(z_p, z_p, k_h)
+    K_pp, K_H = _p_grams(z_p, k, k_h)
     target = gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / m
     A = (K_pp @ K_pp) @ K_H + n * lam * np.eye(n)
     v = solve_linear(A, K_pp @ target, "type15 system")
@@ -237,8 +242,7 @@ def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    K_H = gaussian_kernel_matrix(z_p, z_p, k)
+    K_pp, K_H = _p_grams(z_p, k, k)
     target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / m
     v = solve_linear(K_pp @ K_H + n * lam * np.eye(n), target, "rkhs_loss system")
     return RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain")
@@ -256,8 +260,7 @@ def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam):
     z_p = as_sample_matrix(z_p, "z_p")
     n = z_p.shape[0]
     q = _check_q_values(q_values, n)
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    K_H = gaussian_kernel_matrix(z_p, z_p, k_h)
+    K_pp, K_H = _p_grams(z_p, k, k_h)
     A = (K_pp @ K_pp) @ K_H + n * lam * np.eye(n)
     v = solve_linear(A, K_pp @ q, "type2 system")
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")

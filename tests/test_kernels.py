@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firedre.kernels as kernels
 from firedre.kernels import KernelSpec, as_sample_matrix, bandwidth_grid, gaussian_kernel_matrix, kde
 
 
@@ -103,6 +104,46 @@ class TestKernelMatrixProperties:
         full = gaussian_kernel_matrix(A, B, spec)
         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 7 * 33 * 3)
         assert np.array_equal(gaussian_kernel_matrix(A, B, spec), full)
+
+
+def sq_dists_reference(A, B):
+    # float64 sum of squared coordinate differences, added left to right
+    out = np.empty((A.shape[0], B.shape[0]))
+    for i, a in enumerate(A.tolist()):
+        for j, b in enumerate(B.tolist()):
+            total = 0.0
+            for x, y in zip(a, b):
+                total += (x - y) * (x - y)
+            out[i, j] = total
+    return out
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_left_to_right_reference_bitwise(self, d):
+        rng = np.random.default_rng(11 + d)
+        A, B = rand_points(rng, 19, d, 3.0), rand_points(rng, 23, d, 3.0)
+        assert np.array_equal(kernels._sq_dists(A, B), sq_dists_reference(A, B))
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_transpose_exact_d5(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        A, B = rand_points(rng, n, 5, 3.0), rand_points(rng, m, 5, 3.0)
+        assert np.array_equal(kernels._sq_dists(A, B), kernels._sq_dists(B, A).T)
+
+    def test_self_distance_diagonal_is_zero_d5(self):
+        rng = np.random.default_rng(12)
+        A = rand_points(rng, 31, 5, 100.0)
+        assert np.all(np.diag(kernels._sq_dists(A, A)) == 0.0)
+
+    @pytest.mark.parametrize("block_elems", [1, 33, 7 * 33 + 5, 2 ** 30])
+    def test_block_size_independent_d5(self, monkeypatch, block_elems):
+        rng = np.random.default_rng(13)
+        A, B = rand_points(rng, 50, 5), rand_points(rng, 33, 5)
+        full = kernels._sq_dists(A, B)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        assert np.array_equal(kernels._sq_dists(A, B), full)
 
 
 class TestKernelErrors:

@@ -1,6 +1,11 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import firedre.selection as selection
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError
 from firedre.selection import (
@@ -172,6 +177,31 @@ class TestKfoldCv:
         for other in runs[1:]:
             assert np.array_equal(runs[0].fold_scores, other.fold_scores)
             assert runs[0].selected_index == other.selected_index
+
+    def test_threads_above_cpu_count_are_capped(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        z_p, z_q = small_problem(9)
+        vs = make_validation_set("linear", d=2, count=5, seed=2)
+        type1 = fit_factory("type1")
+        pools, fit_threads = [], set()
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        def fit(*args):
+            fit_threads.add(threading.get_ident())
+            return type1(*args)
+
+        monkeypatch.setattr(selection, "ThreadPoolExecutor", RecordingPool)
+        grid = ([0.4, 0.9, 1.7, 3.0], LAMBDA_GRID[:4])
+        serial = kfold_cv(z_p, z_q, fit, *grid, vs, folds=4, seed=11, threads=1)
+        fit_threads.clear()
+        many = kfold_cv(z_p, z_q, fit, *grid, vs, folds=4, seed=11, threads=cpus + 3)
+        assert np.array_equal(serial.fold_scores, many.fold_scores)
+        assert all(w <= cpus for w in pools)
+        assert len(fit_threads) <= cpus
 
     def test_fold_partition_matches_seeded_split(self):
         z_p, z_q = small_problem(2, n=17)

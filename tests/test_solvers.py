@@ -96,6 +96,89 @@ class TestReductions:
         assert np.allclose(a.v, b.v, rtol=0, atol=1e-12)
 
 
+def p_grams_separately(z_p, k, k_h):
+    # reference: K_pp and K_H from two independent Gram builds
+    return gaussian_kernel_matrix(z_p, z_p, k) / z_p.shape[0], gaussian_kernel_matrix(z_p, z_p, k_h)
+
+
+class TestSharedGram:
+    """With k_H = k the direct solvers build one p x p Gram; results must not move."""
+
+    LAM = 1e-4
+
+    def setup_method(self):
+        self.z_p, self.z_q = instance(30, n=17, m=21, d=5)
+        self.k = KernelSpec(t=1.3)
+        self.n, self.m = self.z_p.shape[0], self.z_q.shape[0]
+
+    def test_type15_and_type1_bitwise(self):
+        k, n = self.k, self.n
+        k_prime = KernelSpec(t=2.6)
+        for kp, got in (
+            (k_prime, solve_type15(self.z_p, self.z_q, k, k_prime, k, self.LAM)),
+            (k, solve_type1(self.z_p, self.z_q, k, k, self.LAM)),
+        ):
+            K_pp, K_H = p_grams_separately(self.z_p, k, k)
+            target = gaussian_kernel_matrix(self.z_p, self.z_q, kp).sum(axis=1) / self.m
+            A = (K_pp @ K_pp) @ K_H + n * self.LAM * np.eye(n)
+            assert np.array_equal(got.v, solve_linear(A, K_pp @ target))
+
+    def test_type2_bitwise(self):
+        k, n = self.k, self.n
+        q = np.random.default_rng(31).uniform(0.1, 1.0, n)
+        K_pp, K_H = p_grams_separately(self.z_p, k, k)
+        A = (K_pp @ K_pp) @ K_H + n * self.LAM * np.eye(n)
+        expect = solve_linear(A, K_pp @ q)
+        assert np.array_equal(solve_type2(self.z_p, q, k, k, self.LAM).v, expect)
+
+    def test_rkhs_loss_bitwise(self):
+        k, n = self.k, self.n
+        K_pp, K_H = p_grams_separately(self.z_p, k, k)
+        target = gaussian_kernel_matrix(self.z_p, self.z_q, k).sum(axis=1) / self.m
+        expect = solve_linear(K_pp @ K_H + n * self.LAM * np.eye(n), target)
+        assert np.array_equal(solve_rkhs_loss(self.z_p, self.z_q, k, self.LAM).v, expect)
+
+    def test_combined_and_gram_bundle_bitwise(self):
+        k, n, m, gamma = self.k, self.n, self.m, 0.3
+        K_pp, K_H = p_grams_separately(self.z_p, k, k)
+        g = gram_bundle(self.z_p, self.z_q, k, k)
+        assert np.array_equal(g.K_pp, K_pp) and np.array_equal(g.K_H, K_H)
+        G_pq = gaussian_kernel_matrix(self.z_p, self.z_q, k)
+        K_pq, K_qp = G_pq / m, G_pq.T / n
+        K_qq = gaussian_kernel_matrix(self.z_q, self.z_q, k) / m
+        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
+        rhs = (gamma / n) * (K_pp @ K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
+        expect = solve_linear(M @ K_H + self.LAM * np.eye(n), rhs)
+        assert np.array_equal(solve_combined(self.z_p, self.z_q, k, k, gamma, self.LAM).v, expect)
+
+    def test_one_p_gram_when_kernels_match(self, monkeypatch):
+        import firedre.solvers as solvers
+
+        shapes = []
+
+        def counting(A, B, spec):
+            shapes.append((len(A), len(B)))
+            return gaussian_kernel_matrix(A, B, spec)
+
+        monkeypatch.setattr(solvers, "gaussian_kernel_matrix", counting)
+        k, n = self.k, self.n
+        q = np.ones(n)
+        calls = [
+            lambda: solve_type1(self.z_p, self.z_q, k, k, self.LAM),
+            lambda: solve_type15(self.z_p, self.z_q, k, KernelSpec(t=2.6), k, self.LAM),
+            lambda: solve_type2(self.z_p, q, k, k, self.LAM),
+            lambda: solve_rkhs_loss(self.z_p, self.z_q, k, self.LAM),
+            lambda: solve_combined(self.z_p, self.z_q, k, k, 0.5, self.LAM),
+        ]
+        for call in calls:
+            shapes.clear()
+            call()
+            assert shapes.count((n, n)) == 1
+        shapes.clear()
+        solve_type1(self.z_p, self.z_q, k, KernelSpec(t=0.7), self.LAM)
+        assert shapes.count((n, n)) == 2
+
+
 class TestRegularizationPaths:
     def test_path_matches_direct(self):
         z_p, z_q = instance(6, n=40, m=30)
