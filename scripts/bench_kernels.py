@@ -1,7 +1,7 @@
 """Time the pairwise-distance and Gram layer at fixed, named shapes.
 
 For each shape (n x m points in d dimensions, standard normal, fixed seed)
-this records the median over --repeats calls of `kernels._sq_dists` and of
+this records the median over REPEATS calls of `kernels._sq_dists` and of
 `gaussian_kernel_matrix` (unnormalized, t = 1), after one warm-up call.  The
 record also holds the numpy version, the BLAS name and version, nproc and
 the BLAS thread settings found in the environment.  It is appended to the
@@ -32,12 +32,14 @@ SHAPES = (
     ("300x300_d1", 300, 300, 1),
     ("2000x300_d1", 2000, 300, 1),
 )
+# timed calls per shape and function
+REPEATS = 21
 
 
-def median_ms(fn, repeats):
+def median_ms(fn):
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -45,7 +47,7 @@ def median_ms(fn, repeats):
     return 1e3 * times[len(times) // 2]
 
 
-def run(repeats):
+def run():
     import numpy as np
 
     from firedre import kernels
@@ -60,8 +62,8 @@ def run(repeats):
             "n": n,
             "m": m,
             "d": d,
-            "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B), repeats),
-            "gram_ms": median_ms(lambda: kernels.gaussian_kernel_matrix(A, B, spec), repeats),
+            "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B)),
+            "gram_ms": median_ms(lambda: kernels.gaussian_kernel_matrix(A, B, spec)),
         }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -69,7 +71,6 @@ def run(repeats):
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-        "repeats": repeats,
         "results": results,
     }
 
@@ -79,14 +80,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of the build being timed")
     parser.add_argument("--src", default=os.path.join(here, "..", "src"), help="directory holding the firedre package")
-    parser.add_argument("--repeats", type=int, default=15, help="timed calls per shape and function")
     parser.add_argument("--out", default=os.path.join(here, "..", "BENCH_kernels.json"), help="JSON file to append to")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     sys.path.insert(0, os.path.abspath(args.src))
-    record = {"label": args.label, **run(args.repeats)}
+    record = {"label": args.label, **run()}
     data = {"records": []}
     if os.path.exists(args.out):
         with open(args.out) as fh:

@@ -512,7 +512,7 @@ def main(argv=None):
             "--threads",
             type=int,
             default=1,
-            help="worker threads for independent cells (capped at the CPUs this process may use)",
+            help="worker threads for independent cells (capped at the CPUs in this process's affinity mask)",
         )
     args = parser.parse_args(argv)
 

@@ -119,8 +119,9 @@ class CVResult:
 def worker_count(threads):
     """Python workers to start for a request of ``threads``.
 
-    Capped at the CPUs this process may run on: more workers than CPUs only
-    contend with each other and with the BLAS threads each of them starts.
+    Capped at the CPUs in this process's affinity mask: more workers than
+    CPUs only contend with each other and with the BLAS threads each of them
+    starts.  A cgroup CPU quota is not seen by the mask, so it is not covered.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
