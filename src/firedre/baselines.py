@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde
-from .linalg import solve_linear
+from .linalg import NumericalError, solve_linear
 
 # === analytic densities ===
 
@@ -172,8 +172,15 @@ def lsif_unconstrained(z_p, z_q, t, lam):
     Basis functions are k_t(x'_l, .) at every q-point.  Solves
     (H + lam I) alpha = h with H_ll' = (1/n) sum_i k_t(x'_l, x_i) k_t(x'_l', x_i)
     and h_l = (1/m) sum_j k_t(x'_l, x'_j).
+
+    ``lam`` may also be a 1-d sequence: H and h, which do not depend on lam,
+    are then built once and the result is a list with one LsifRatio per lam,
+    None where that lam's solve fails (for a single lam it raises
+    NumericalError).
     """
-    if not np.isfinite(lam) or lam <= 0:
+    single = np.ndim(lam) == 0
+    lams = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams > 0)):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
     k = KernelSpec(t=float(t))
     z_p = as_sample_matrix(z_p, "z_p")
@@ -182,8 +189,17 @@ def lsif_unconstrained(z_p, z_q, t, lam):
     Phi = gaussian_kernel_matrix(z_q, z_p, k)  # (m, n)
     H = (Phi @ Phi.T) / n
     h = gaussian_kernel_matrix(z_q, z_q, k).mean(axis=1)
-    alpha = solve_linear(H + lam * np.eye(m), h, "lsif system")
-    return LsifRatio(centers=z_q, alpha=alpha, kernel=k)
+    fits = []
+    for one in lams:
+        try:
+            alpha = solve_linear(H + one * np.eye(m), h, "lsif system")
+        except NumericalError:
+            if single:
+                raise
+            fits.append(None)
+            continue
+        fits.append(LsifRatio(centers=z_q, alpha=alpha, kernel=k))
+    return fits[0] if single else fits
 
 
 # === ground truth ===

@@ -7,7 +7,10 @@ success, 2 on config validation failure, 3 on numerical failure (with a
 one-line JSON reason on stderr).  Re-running any command from its echoed
 config reproduces the outputs byte for byte, apart from the timestamp, on
 the same numpy/BLAS build with the same BLAS thread count (the last bits of
-BLAS results can change with either).
+BLAS results can change with either).  --threads changes no output bit: CV
+cells and simulate trials always run on one BLAS thread, whatever the
+number of workers; the final fit and evaluation run on the process's BLAS
+thread count, which OPENBLAS_NUM_THREADS still sets.
 """
 
 import argparse
@@ -17,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError
-from .selection import fit_factory, kfold_cv, make_validation_set, worker_count
+from .selection import fit_factory, kfold_cv, make_validation_set, run_cells
 from .solvers import (
     solve_combined,
     solve_rkhs_loss,
@@ -297,10 +299,8 @@ def _bench_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid):
     for t in t_grid:
         k = KernelSpec(t=float(t))
         G_eval = gaussian_kernel_matrix(eval_X, z_q, k)
-        for lam in lam_grid:
-            try:
-                est = lsif_unconstrained(z_p, z_q, t, lam)
-            except NumericalError:
+        for lam, est in zip(lam_grid, lsif_unconstrained(z_p, z_q, t, lam_grid)):
+            if est is None:
                 continue
             err = float(np.mean((np.maximum(G_eval @ est.alpha, 0.0) - r_eval) ** 2))
             if err < best[0]:
@@ -346,12 +346,7 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         return rows
 
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
-    workers = worker_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            packs = list(pool.map(one, tasks))
-    else:
-        packs = [one(task) for task in tasks]
+    packs = run_cells(one, tasks, threads)
     rows = [row for pack in packs for row in pack]
 
     medians = {}
@@ -512,7 +507,10 @@ def main(argv=None):
             "--threads",
             type=int,
             default=1,
-            help="worker threads for independent cells (capped at the CPUs in this process's affinity mask)",
+            help=(
+                "worker threads for CV cells and simulate trials, capped at the CPUs in this process's "
+                "affinity mask and cgroup CPU quota; cells run on one BLAS thread, so this changes no output bit"
+            ),
         )
     args = parser.parse_args(argv)
 

@@ -107,10 +107,12 @@ def bandwidth_grid(points, neighbors=10, size=10):
     n = X.shape[0]
     if n < neighbors + 1:
         raise ValueError(f"need at least {neighbors + 1} points for {neighbors}-NN bandwidth, got {n}")
-    D = np.sqrt(np.maximum(_sq_dists(X, X), 0.0))
+    D = _sq_dists(X, X)  # sums of squares, so never negative
     np.fill_diagonal(D, np.inf)
-    D.sort(axis=1)
-    t0 = float(D[:, :neighbors].mean())
+    D.partition(neighbors - 1, axis=1)
+    nearest = D[:, :neighbors]
+    nearest.sort(axis=1)
+    t0 = float(np.sqrt(nearest, out=nearest).mean())
     if t0 <= 0.0:
         raise ValueError("degenerate sample: all points identical, bandwidth would be 0")
     return t0, t0 * np.power(2.0, np.arange(size, dtype=np.float64))

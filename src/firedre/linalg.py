@@ -1,5 +1,13 @@
 """Small shared linear-algebra helpers with deterministic conventions."""
 
+import ctypes
+import ctypes.util
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -38,3 +46,83 @@ def solve_linear(A, b, context=""):
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"linear solve produced non-finite values{': ' + context if context else ''}")
     return x
+
+
+# (get, set) symbol names of the thread-count API, by OpenBLAS build: the
+# scipy-openblas build bundled with numpy wheels, then plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# the OpenBLAS thread count is one setting for the whole process, so the
+# regions that change it are counted process-wide too
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = None
+
+
+def _openblas_paths():
+    """The OpenBLAS numpy wheels bundle (numpy.libs/ or numpy/.dylibs/), then a system one."""
+    numpy_dir = os.path.dirname(np.__file__)
+    yield from sorted(glob.glob(os.path.join(numpy_dir + ".libs", "*openblas*")))
+    yield from sorted(glob.glob(os.path.join(numpy_dir, ".dylibs", "*openblas*")))
+    system = ctypes.util.find_library("openblas")  # runs ldconfig, so only when nothing is bundled
+    if system is not None:
+        yield system
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    Loading a library numpy has already loaded returns numpy's handle.
+    """
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_thread_count():
+    """Threads numpy's OpenBLAS currently uses, or None when it is not found."""
+    api = _openblas()
+    return None if api is None else int(api[0]())
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the body with numpy's OpenBLAS on ``n`` threads.
+
+    The setting is process-global: the outermost region sets it and restores
+    the caller's count on exit, also when the body raises; regions entered
+    while one is open (nested, or from other threads) change nothing.  Does
+    nothing when no OpenBLAS is found.
+    """
+    global _blas_depth, _blas_saved
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(n)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)

@@ -9,6 +9,7 @@ which vanishes in expectation at the true ratio.  kfold_cv minimizes the
 held-out J over a (t, lambda) grid.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
-from .linalg import NumericalError
+from .linalg import NumericalError, blas_threads
 from .solvers import (
     solve_combined,
     solve_rkhs_loss,
@@ -24,6 +25,9 @@ from .solvers import (
     solve_type1_path,
     solve_type2_path,
 )
+
+# cgroup v2 CPU bandwidth limit of this process's cgroup: "<quota> <period>" or "max <period>"
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 VALIDATION_FAMILIES = ("linear", "halfspace", "kernel_combo", "kernel_indicator", "coordinate")
 
@@ -116,18 +120,46 @@ class CVResult:
     seed: int
 
 
+def _cpu_quota():
+    """CPUs allowed by the cgroup v2 quota, ceil(quota / period); None when uncapped."""
+    try:
+        with open(CPU_MAX_PATH) as fh:
+            quota, period = fh.read().split()[:2]
+        if quota == "max":
+            return None
+        return max(1, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+
+
 def worker_count(threads):
     """Python workers to start for a request of ``threads``.
 
-    Capped at the CPUs in this process's affinity mask: more workers than
-    CPUs only contend with each other and with the BLAS threads each of them
-    starts.  A cgroup CPU quota is not seen by the mask, so it is not covered.
+    Capped at the CPUs in this process's affinity mask and at its cgroup v2
+    CPU quota: more workers than CPUs only contend with each other.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    if quota is not None:
+        cpus = min(cpus, quota)
     return max(1, min(threads, cpus))
+
+
+def run_cells(fn, tasks, threads):
+    """[fn(task) for task in tasks], fanned out over worker_count(threads) threads.
+
+    The cells run on one BLAS thread whatever ``threads`` is, so their results
+    do not depend on it; code outside keeps the process's BLAS thread count.
+    """
+    workers = worker_count(threads)
+    with blas_threads(1):
+        if workers == 1:
+            return [fn(task) for task in tasks]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
 
 
 def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=True):
@@ -189,8 +221,8 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     full q-sample) and scored on the held-out p-points against all of z_q.
     Cell scores are fold means; a failed fit contributes +inf for that fold.
     Ties break toward the smallest t, then the largest lambda.  Deterministic
-    given the seed; the thread count, capped by worker_count, only
-    parallelizes independent cells.
+    given the seed; the cells go through run_cells, so ``threads`` only
+    parallelizes them and changes no result bit.
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -221,13 +253,7 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
         f, it, t, train_idx, val_idx, U_val = task
         return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q_means)
 
-    workers = worker_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
-    for f, it, row in results:
+    for f, it, row in run_cells(run, tasks, threads):
         fold_scores[it, :, f] = row
 
     scores = fold_scores.mean(axis=2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firedre.baselines as baselines
 from firedre.baselines import (
     GaussianDensity,
     MixtureDensity,
@@ -13,6 +14,7 @@ from firedre.baselines import (
     true_ratio,
 )
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix, kde
+from firedre.linalg import NumericalError
 
 
 def dataset1():
@@ -184,10 +186,45 @@ class TestLsif:
         m = r.evaluate(held_out).mean()
         assert 0.7 < m < 1.3
 
+    def test_lambda_sequence_matches_single_fits_bitwise(self):
+        rng = np.random.default_rng(8)
+        z_p = rng.standard_normal((50, 1))
+        z_q = rng.standard_normal((40, 1)) * 0.5
+        lams = np.array([1e-2, 1e-4, 1e-6])
+        path = lsif_unconstrained(z_p, z_q, t=0.3, lam=lams)
+        assert len(path) == 3
+        for lam, est in zip(lams, path):
+            single = lsif_unconstrained(z_p, z_q, t=0.3, lam=float(lam))
+            assert np.array_equal(est.alpha, single.alpha)
+            assert est.kernel == single.kernel
+
+    def test_lambda_sequence_marks_failed_solve_none(self, monkeypatch):
+        z = np.random.default_rng(9).standard_normal((12, 1))
+        solve = baselines.solve_linear
+        second_fails = iter([False, True, False])
+
+        def flaky(A, b, context=""):
+            if next(second_fails):
+                raise NumericalError("synthetic failure")
+            return solve(A, b, context)
+
+        monkeypatch.setattr(baselines, "solve_linear", flaky)
+        path = lsif_unconstrained(z, z, t=1.0, lam=[1e-2, 1e-3, 1e-4])
+        assert path[0] is not None and path[1] is None and path[2] is not None
+
+        def fails(A, b, context=""):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(baselines, "solve_linear", fails)
+        with pytest.raises(NumericalError, match="synthetic"):  # a single lam raises
+            lsif_unconstrained(z, z, t=1.0, lam=1e-3)
+
     def test_validation(self):
         z = np.zeros((3, 1))
         with pytest.raises(ValueError):
             lsif_unconstrained(z, z, t=1.0, lam=0.0)
+        with pytest.raises(ValueError):
+            lsif_unconstrained(z, z, t=1.0, lam=[1e-3, -1.0])
         with pytest.raises(ValueError):
             lsif_unconstrained(z, np.zeros((0, 1)), t=1.0, lam=1e-3)
 

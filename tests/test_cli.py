@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import firedre.cli as cli
 from firedre.cli import derive_seed, main, write_csv, write_json
 from firedre.data import load_csv
+from firedre.linalg import blas_thread_count
 
 GAUSS = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
 
@@ -200,6 +202,25 @@ class TestSimulateCommand:
         rows = [line.split(",") for line in text[1:]]
         fire40 = [float(r[3]) for r in rows if r[0] == "fire" and r[1] == "40"]
         assert abs(np.median(fire40) - payload["medians"]["fire"]["40"]) < 1e-15
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bench_trials_see_one_blas_thread(self, tmp_path, monkeypatch, caller_blas_threads, threads):
+        seen = []
+        factory = cli.fit_factory
+
+        def spy_factory(*args, **kwargs):
+            fit = factory(*args, **kwargs)
+
+            def spy_fit(*fit_args):
+                seen.append(blas_thread_count())
+                return fit(*fit_args)
+
+            return spy_fit
+
+        monkeypatch.setattr(cli, "fit_factory", spy_factory)
+        run(tmp_path, "simulate", self.CFG, extra=("--threads", threads))
+        assert seen == [1] * 8  # 2 sizes x 2 repetitions x 2 bandwidths
+        assert blas_thread_count() == caller_blas_threads
 
     def test_deterministic_and_thread_invariant(self, tmp_path):
         out1 = run(tmp_path, "simulate", self.CFG, out="a")

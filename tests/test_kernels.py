@@ -199,6 +199,18 @@ class TestBandwidthGrid:
         assert np.all(np.diff(grid) > 0)
         assert np.allclose(grid[1:] / grid[:-1], 2.0)
 
+    @pytest.mark.parametrize("n, d, neighbors", [(11, 1, 10), (60, 1, 10), (200, 5, 10), (90, 2, 3)])
+    def test_matches_full_sort_bitwise(self, n, d, neighbors):
+        # the full-sort formulation the partition replaced, tied points included
+        X = rand_points(np.random.default_rng(n + d), n, d)
+        X[1::7] = X[::7][: len(X[1::7])]
+        D = np.sqrt(np.maximum(kernels._sq_dists(X, X), 0.0))
+        np.fill_diagonal(D, np.inf)
+        D.sort(axis=1)
+        t0, grid = bandwidth_grid(X, neighbors=neighbors)
+        assert t0 == float(D[:, :neighbors].mean())
+        assert np.array_equal(grid, t0 * 2.0 ** np.arange(10))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 11"):
             bandwidth_grid(np.zeros((10, 1)))

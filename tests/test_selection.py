@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +8,7 @@ import pytest
 
 import firedre.selection as selection
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
-from firedre.linalg import NumericalError
+from firedre.linalg import NumericalError, blas_thread_count, blas_threads
 from firedre.selection import (
     LAMBDA_GRID,
     VALIDATION_FAMILIES,
@@ -15,6 +16,8 @@ from firedre.selection import (
     j_score,
     kfold_cv,
     make_validation_set,
+    run_cells,
+    worker_count,
 )
 from firedre.solvers import solve_type1, solve_type15
 
@@ -324,3 +327,92 @@ class TestFitFactory:
 
     def test_lambda_grid_constants(self):
         assert np.allclose(LAMBDA_GRID, [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10], rtol=1e-15)
+
+
+class TestWorkerCount:
+    def write_cpu_max(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "cpu.max"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(selection, "CPU_MAX_PATH", str(path))
+
+    def test_quota_caps_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        self.write_cpu_max(tmp_path, monkeypatch, "200000 100000\n")
+        assert worker_count(8) == 2
+        self.write_cpu_max(tmp_path, monkeypatch, "150000 100000\n")  # 1.5 CPUs round up
+        assert worker_count(8) == 2
+        self.write_cpu_max(tmp_path, monkeypatch, "50000 100000\n")  # under one CPU still runs one
+        assert worker_count(8) == 1
+        assert worker_count(1) == 1
+
+    @pytest.mark.parametrize("text", ["max 100000\n", None, "garbage\n"])
+    def test_no_quota_no_cap(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        self.write_cpu_max(tmp_path, monkeypatch, text)
+        assert worker_count(8) == 8
+
+    def test_affinity_still_caps_under_a_larger_quota(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        self.write_cpu_max(tmp_path, monkeypatch, "800000 100000\n")
+        assert worker_count(8) == 3
+
+
+class TestCellBlasPolicy:
+    """Cells run on one BLAS thread; the caller's count comes back afterwards."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kfold_cv_cells_see_one_blas_thread(self, caller_blas_threads, threads):
+        z_p, z_q = small_problem(12)
+        vs = make_validation_set("linear", d=2, count=4, seed=1)
+        type1 = fit_factory("type1")
+        seen = []
+
+        def spy_fit(*args):
+            seen.append(blas_thread_count())
+            return type1(*args)
+
+        kfold_cv(z_p, z_q, spy_fit, [0.5, 1.0, 2.0], LAMBDA_GRID[:3], vs, folds=3, seed=4, threads=threads)
+        assert seen == [1] * 9
+        assert blas_thread_count() == caller_blas_threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_restored_when_a_cell_raises(self, caller_blas_threads, threads):
+        def cell(i):
+            if i == 2:
+                raise RuntimeError("cell failed")
+            return blas_thread_count()
+
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cells(cell, range(4), threads)
+        assert blas_thread_count() == caller_blas_threads
+
+    def test_nested_regions_keep_one_thread(self, caller_blas_threads):
+        inner = run_cells(lambda _: run_cells(lambda _: blas_thread_count(), [0, 1], 2), [0, 1], 2)
+        assert inner == [[1, 1], [1, 1]]
+        assert blas_thread_count() == caller_blas_threads
+
+    def test_concurrent_regions_hold_one_thread_and_restore(self, caller_blas_threads):
+        # regions entered and left from many threads at once, with frequent
+        # thread switches: a lost update of the region count would either
+        # restore the caller's count inside a region or never restore it
+        inside = []
+
+        def enter_many():
+            for _ in range(200):
+                with blas_threads(1):
+                    inside.append(blas_thread_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_many) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert inside == [1] * 1600
+        assert blas_thread_count() == caller_blas_threads
