@@ -1,13 +1,21 @@
 """Time end-to-end CLI runs at fixed, named sizes.
 
-Three runs, each the median over REPEATS calls of the runner `firedre <cmd>`
+Each run is the median over REPEATS calls of the runner `firedre <cmd>`
 calls after loading its config (no interpreter start-up):
 
 - c04_n1000_fire_t4: `simulate` of fire (type15) at n = 1000, m = 2000,
   eval_n = 2000, 20 repetitions, --threads 4 (the n = 1000 leg of the c04
   acceptance check)
+- simulate_n300_3methods_t2: `simulate` of fire (type15), tikde and lsif at
+  n = m = 300, eval_n = 2000, 2 repetitions, --threads 2 (the sizes of the
+  benchmark's simulate-1d workload; the three methods read the same
+  evaluation Grams)
 - estimate_n1000_d1_t1 / _t2: `estimate` at n = m = 1000, d = 1, default
   grids and CV, --threads 1 and 2
+- downstream_c08_t1 / _t2: `downstream` on one c08 trial (seed 1000): OLS
+  on 800 pca_sigmoid-thinned rows of a 3000-row d = 5 pool, 1000 test rows,
+  2000 ratio-q rows, type1 unnormalized, 20 linear validation functions,
+  CV on 400 points, --threads 1 and 2
 
 The record also holds the numpy version, the BLAS name and version, nproc,
 the BLAS thread count outside and inside the cells, and the BLAS thread
@@ -42,6 +50,11 @@ C04_LEG = {
     "n_grid": [1000], "m": 2000, "repetitions": 20, "methods": ["fire"], "eval_n": 2000,
     "solver": {"setting": "type15", "t_prime_ratio": 2.0},
 }
+SIMULATE_1D = {
+    "seed": 13, "p_density": MIXTURE_1D, "q_density": NARROW_1D,
+    "n_grid": [300], "m": 300, "repetitions": 2, "methods": ["fire", "tikde", "lsif"], "eval_n": 2000,
+    "solver": {"setting": "type15"},
+}
 ESTIMATE_1D = {
     "seed": 7,
     "p": {"density": {"kind": "gaussian", "mean": [0.0], "std": 1.0}, "n": 1000},
@@ -58,6 +71,46 @@ def blas_probe():
     return module.blas_thread_count
 
 
+def c08_inputs(work, seed=1000, train_n=800):
+    """CSV files of one c08 trial (tests/test_acceptance.py::_c8_trial) for `downstream`."""
+    import numpy as np
+
+    from firedre import cli
+    from firedre.data import pca_resample
+
+    beta = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
+    std = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
+
+    def response(X, rng):
+        keep = 1.0 / (1.0 + np.exp(-np.clip((2.5 * X[:, 0] - 1.0) / 3.0, -500, 500)))
+        return X @ beta + (0.15 + 4.0 * keep) * rng.standard_normal(X.shape[0])
+
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((3000, 5)) * std
+    y_pool = response(pool, rng)
+    res = pca_resample(pool, y_pool, 2.5, 1.0, seed=seed + 99)
+    idx = rng.permutation(res.X.shape[0])[:train_n]
+    X_te = rng.standard_normal((1000, 5)) * std
+    y_te = response(X_te, rng)
+    X_q = rng.standard_normal((2000, 5)) * std
+    paths = {}
+    for name, X, y in (("train", res.X[idx], res.labels[idx]), ("test", X_te, y_te), ("ratio_q", X_q, None)):
+        paths[name] = os.path.join(work, f"{name}.csv")
+        header = [f"x{j}" for j in range(5)] + ([] if y is None else ["y"])
+        cli.write_csv(paths[name], header, X if y is None else np.hstack([X, y[:, None]]))
+    return {
+        "seed": seed,
+        "task": "regression",
+        "train": {"csv": paths["train"], "label_column": 5},
+        "test": {"csv": paths["test"], "label_column": 5},
+        "ratio_q": {"csv": paths["ratio_q"]},
+        "solver": {"setting": "type1", "normalized": False},
+        "validation": {"family": "linear", "count": 20},
+        "cv": {"folds": 5, "max_points": 400},
+        "train_sizes": [train_n],
+    }
+
+
 def timed(fn):
     times = []
     for _ in range(REPEATS):
@@ -71,7 +124,7 @@ def run(work):
     import numpy as np
 
     from firedre import cli, selection
-    from firedre.config import BenchConfig, EstimateConfig
+    from firedre.config import BenchConfig, DownstreamConfig, EstimateConfig
 
     count = blas_probe()
     outside = count()
@@ -83,11 +136,19 @@ def run(work):
     bench = BenchConfig.from_dict(C04_LEG)
     results["c04_n1000_fire_t4"], payload = timed(lambda: cli.run_bench(bench, work, threads=4))
     results["c04_n1000_fire_t4"]["fire_median"] = payload["medians"]["fire"]["1000"]
+    bench = BenchConfig.from_dict(SIMULATE_1D)
+    results["simulate_n300_3methods_t2"], payload = timed(lambda: cli.run_bench(bench, work, threads=2))
+    results["simulate_n300_3methods_t2"]["medians"] = {k: v["300"] for k, v in payload["medians"].items()}
     est = EstimateConfig.from_dict(ESTIMATE_1D)
     for threads in (1, 2):
         name = f"estimate_n1000_d1_t{threads}"
         results[name], payload = timed(lambda: cli.run_estimate(est, work, threads=threads))
         results[name]["selected"] = [payload["selected_t"], payload["selected_lambda"]]
+    down = DownstreamConfig.from_dict(c08_inputs(work))
+    for threads in (1, 2):
+        name = f"downstream_c08_t{threads}"
+        results[name], payload = timed(lambda: cli.run_downstream(down, os.path.join(work, "down"), threads=threads))
+        results[name]["mse"] = {k: v["800"]["mse"] for k, v in payload["metrics"].items()}
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -119,7 +180,7 @@ def main(argv=None):
         json.dump(data, fh, indent=2)
         fh.write("\n")
     for name, r in record["results"].items():
-        print(f"{args.label:>8} {name:>22}  {r['median_s']:8.2f} s")
+        print(f"{args.label:>8} {name:>25}  {r['median_s']:8.2f} s")
     return 0
 
 

@@ -7,10 +7,12 @@ success, 2 on config validation failure, 3 on numerical failure (with a
 one-line JSON reason on stderr).  Re-running any command from its echoed
 config reproduces the outputs byte for byte, apart from the timestamp, on
 the same numpy/BLAS build with the same BLAS thread count (the last bits of
-BLAS results can change with either).  --threads changes no output bit: CV
-cells and simulate trials always run on one BLAS thread, whatever the
-number of workers; the final fit and evaluation run on the process's BLAS
-thread count, which OPENBLAS_NUM_THREADS still sets.
+BLAS results can change with either).  --threads (default: the usable
+CPUs) changes no output bit: CV cells and simulate trials always run on one
+BLAS thread, whatever the number of workers; the final fit and evaluation
+run on the process's BLAS thread count, which OPENBLAS_NUM_THREADS still
+sets.  A simulate trial builds each evaluation Gram once per bandwidth and
+shares it among the methods whose kernels are equal.
 """
 
 import argparse
@@ -36,7 +38,7 @@ from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError
-from .selection import fit_factory, kfold_cv, make_validation_set, run_cells
+from .selection import fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 from .solvers import (
     solve_combined,
     solve_rkhs_loss,
@@ -258,53 +260,81 @@ def run_cv(cfg: EstimateConfig, out_dir, threads=1):
     return run_estimate(cfg, out_dir, threads=threads, final=False, command="cv")
 
 
-def _bench_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
-    """Oracle-select (t, lam) for a fitted ratio family; error on clamped values.
+def _share_grams(X, Y, readers):
+    """Call read(G) with G = k(X, Y) for each (k, read) in readers.
 
-    A ratio is nonnegative, so every method's predictions are clamped at zero
-    before scoring (TIKDE is nonnegative by construction, this only affects
-    the linear-system estimators).
+    Each distinct kernel spec's Gram is built once and dropped before the
+    next is built, so at most one of them is alive at a time.
     """
-    best = (np.inf, np.nan, np.nan)
-    for t in t_grid:
-        try:
-            ests = fit(z_p, z_q, float(t), lam_grid)
-        except (NumericalError, np.linalg.LinAlgError):
-            continue
-        K_eval = gaussian_kernel_matrix(eval_X, z_p, ests[0].kernel)
-        V = np.stack([e.v if e.scale == "plain" else e.v / z_p.shape[0] for e in ests], axis=1)
-        preds = np.maximum(K_eval @ V, 0.0)
-        errs = np.mean((preds - r_eval[:, None]) ** 2, axis=0)
-        j = int(np.argmin(errs))
-        if errs[j] < best[0]:
-            best = (float(errs[j]), float(t), float(lam_grid[j]))
-    return best
+    specs = []
+    for spec, _ in readers:
+        if spec not in specs:
+            specs.append(spec)
+    for spec in specs:
+        G = gaussian_kernel_matrix(X, Y, spec)
+        for k, read in readers:
+            if k == spec:
+                read(G)
+        del G
 
 
-def _bench_tikde(z_p, z_q, eval_X, r_eval, t_grid):
-    best = (np.inf, np.nan, np.nan)
-    for t in t_grid:
-        k = KernelSpec(t=float(t))
-        p_hat = gaussian_kernel_matrix(eval_X, z_p, k).mean(axis=1)
-        q_hat = gaussian_kernel_matrix(eval_X, z_q, k).mean(axis=1)
-        for eps in tikde_epsilon_grid(z_p, t):
-            err = float(np.mean((q_hat / np.maximum(p_hat, eps) - r_eval) ** 2))
-            if err < best[0]:
-                best = (err, float(t), float(eps))
-    return best
+def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
+    """Oracle-selected (error, t, param) per method, in one walk over t_grid.
 
+    For each t, k_t(eval_X, z_p) serves fire's predictions and TIKDE's
+    p-density, and k_t(eval_X, z_q) TIKDE's q-density and LSIF's predictions;
+    a Gram is shared only between readers with equal kernel specs.  A fire
+    fit that fails at some t skips only fire at that t.  A ratio is
+    nonnegative, so every method's predictions are clamped at zero before
+    scoring (TIKDE is nonnegative by construction, this only affects the
+    linear-system estimators).
+    """
+    best = {method: (np.inf, np.nan, np.nan) for method in methods}
 
-def _bench_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid):
-    best = (np.inf, np.nan, np.nan)
+    def offer(method, err, t, param):
+        if err < best[method][0]:
+            best[method] = (float(err), float(t), float(param))
+
     for t in t_grid:
         k = KernelSpec(t=float(t))
-        G_eval = gaussian_kernel_matrix(eval_X, z_q, k)
-        for lam, est in zip(lam_grid, lsif_unconstrained(z_p, z_q, t, lam_grid)):
-            if est is None:
-                continue
-            err = float(np.mean((np.maximum(G_eval @ est.alpha, 0.0) - r_eval) ** 2))
-            if err < best[0]:
-                best = (err, float(t), float(lam))
+        on_p, on_q = [], []  # (kernel spec, reader) of the Grams against z_p and z_q
+        p_hat = None
+
+        def score_fire(G):
+            errs = np.mean((np.maximum(G @ V, 0.0) - r_eval[:, None]) ** 2, axis=0)
+            j = int(np.argmin(errs))
+            offer("fire", errs[j], t, lam_grid[j])
+
+        def read_p_hat(G):
+            nonlocal p_hat
+            p_hat = G.mean(axis=1)
+
+        def score_tikde(G):
+            q_hat = G.mean(axis=1)
+            for eps in tikde_epsilon_grid(z_p, t):
+                offer("tikde", float(np.mean((q_hat / np.maximum(p_hat, eps) - r_eval) ** 2)), t, eps)
+
+        def score_lsif(G):
+            for lam, est in zip(lam_grid, fits):
+                if est is not None:
+                    offer("lsif", float(np.mean((np.maximum(G @ est.alpha, 0.0) - r_eval) ** 2)), t, lam)
+
+        if "fire" in methods:
+            try:
+                ests = fit(z_p, z_q, float(t), lam_grid)
+            except (NumericalError, np.linalg.LinAlgError):
+                pass
+            else:
+                V = np.stack([e.v if e.scale == "plain" else e.v / z_p.shape[0] for e in ests], axis=1)
+                on_p.append((ests[0].kernel, score_fire))
+        if "tikde" in methods:
+            on_p.append((k, read_p_hat))
+            on_q.append((k, score_tikde))
+        if "lsif" in methods:
+            fits = lsif_unconstrained(z_p, z_q, t, lam_grid)
+            on_q.append((k, score_lsif))
+        _share_grams(eval_X, z_p, on_p)
+        _share_grams(eval_X, z_q, on_q)
     return best
 
 
@@ -333,17 +363,8 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
         r_eval = oracle.evaluate(eval_X)
         t_grid = _t_grid(cfg.grids, z_p)
-        rows = []
-        if "fire" in cfg.methods:
-            err, t, lam = _bench_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit)
-            rows.append(["fire", n, rep, err, t, lam])
-        if "tikde" in cfg.methods:
-            err, t, eps = _bench_tikde(z_p, z_q, eval_X, r_eval, t_grid)
-            rows.append(["tikde", n, rep, err, t, eps])
-        if "lsif" in cfg.methods:
-            err, t, lam = _bench_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid)
-            rows.append(["lsif", n, rep, err, t, lam])
-        return rows
+        best = _bench_trial(cfg.methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit)
+        return [[method, n, rep, *best[method]] for method in ("fire", "tikde", "lsif") if method in best]
 
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
     packs = run_cells(one, tasks, threads)
@@ -506,17 +527,18 @@ def main(argv=None):
         p.add_argument(
             "--threads",
             type=int,
-            default=1,
+            default=worker_count(os.cpu_count() or 1),
             help=(
                 "worker threads for CV cells and simulate trials, capped at the CPUs in this process's "
-                "affinity mask and cgroup CPU quota; cells run on one BLAS thread, so this changes no output bit"
+                "affinity mask and cgroup CPU quota (default: all of them, here %(default)s); cells run on "
+                "one BLAS thread, so this changes no output bit"
             ),
         )
     args = parser.parse_args(argv)
 
     cls = _COMMANDS[args.command][0]
     try:
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config, cls)
         if args.seed is not None:

@@ -107,12 +107,22 @@ def bandwidth_grid(points, neighbors=10, size=10):
     n = X.shape[0]
     if n < neighbors + 1:
         raise ValueError(f"need at least {neighbors + 1} points for {neighbors}-NN bandwidth, got {n}")
-    D = _sq_dists(X, X)  # sums of squares, so never negative
-    np.fill_diagonal(D, np.inf)
-    D.partition(neighbors - 1, axis=1)
-    nearest = D[:, :neighbors]
-    nearest.sort(axis=1)
-    t0 = float(np.sqrt(nearest, out=nearest).mean())
+    # Row blocks of the squared distances (sums of squares, so never
+    # negative) bound the memory at O(block x n).  Each row's nearest
+    # distances are sorted and written into `nearest`, a strided view like
+    # the leading columns of a full n x n matrix, so its mean adds in the
+    # same order and t0 does not depend on the block size.
+    nearest = np.empty((n, neighbors + 1))[:, :neighbors]
+    block = max(1, _BLOCK_ELEMS // n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        D = _sq_dists(X[start:stop], X)
+        D[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        D.partition(neighbors - 1, axis=1)
+        rows = D[:, :neighbors]
+        rows.sort(axis=1)
+        np.sqrt(rows, out=nearest[start:stop])
+    t0 = float(nearest.mean())
     if t0 <= 0.0:
         raise ValueError("degenerate sample: all points identical, bandwidth would be 0")
     return t0, t0 * np.power(2.0, np.arange(size, dtype=np.float64))

@@ -19,6 +19,7 @@ import numpy as np
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
 from .linalg import NumericalError, blas_threads
 from .solvers import (
+    RatioEstimate,
     solve_combined,
     solve_rkhs_loss,
     solve_type15_path,
@@ -191,21 +192,46 @@ def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=Tr
     return fit
 
 
+_CELL_ERRORS = (NumericalError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _values_at(estimates, X):
+    """Each estimate's values at X, None where evaluation fails.
+
+    Estimates that share one centers array and one kernel, as those of a
+    path solver do, read one Gram k(X, centers): est.values(G) is exactly
+    est.evaluate(X).  Any other list is evaluated estimate by estimate.
+    """
+    estimates = list(estimates)
+    G = None
+    head = estimates[0] if estimates else None
+    if isinstance(head, RatioEstimate) and all(
+        isinstance(e, RatioEstimate) and e.centers is head.centers and e.kernel == head.kernel for e in estimates
+    ):
+        try:
+            G = gaussian_kernel_matrix(X, head.centers, head.kernel)
+        except _CELL_ERRORS:
+            return [None] * len(estimates)
+    out = []
+    for est in estimates:
+        try:
+            out.append(est.evaluate(X) if G is None else est.values(G))
+        except _CELL_ERRORS:
+            out.append(None)
+    return out
+
+
 def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means):
     """Held-out J for one (fold, t) against every lam; failures give +inf."""
     L = len(lams)
     out = np.full(L, np.inf)
     try:
         estimates = fit(z_p[train_idx], z_q, t, lams)
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
+    except _CELL_ERRORS:
         return out
     val = z_p[val_idx]
-    for j, est in enumerate(estimates):
-        try:
-            f_val = est.evaluate(val)
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
-            continue
-        if not np.all(np.isfinite(f_val)):
+    for j, f_val in enumerate(_values_at(estimates, val)):
+        if f_val is None or not np.all(np.isfinite(f_val)):
             continue
         lhs = (U_val * f_val).sum(axis=1) / val.shape[0]
         score = float(np.mean((lhs - U_q_means) ** 2))

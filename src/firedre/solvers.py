@@ -62,6 +62,13 @@ class RatioEstimate:
     def evaluate(self, X, clip_negative=False):
         return evaluate(self, X, clip_negative=clip_negative)
 
+    def values(self, G):
+        """f at the points X whose Gram against the centers, k(X, centers), is G."""
+        out = G @ self.v
+        if self.scale == "over_n":
+            out /= self.centers.shape[0]
+        return out
+
 
 @dataclass(eq=False)
 class GramBundle:
@@ -98,9 +105,7 @@ def gram_bundle(z_p, z_q, k: KernelSpec, k_h: KernelSpec):
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
     """Evaluate a ratio estimate at new points X (shape (m, d))."""
     G = gaussian_kernel_matrix(as_sample_matrix(X, "X"), estimate.centers, estimate.kernel)
-    out = G @ estimate.v
-    if estimate.scale == "over_n":
-        out /= estimate.centers.shape[0]
+    out = estimate.values(G)
     if clip_negative:
         out = np.maximum(out, 0.0)
     return out

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import firedre.cli as cli
+from firedre.baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from firedre.cli import derive_seed, main, write_csv, write_json
-from firedre.data import load_csv
-from firedre.linalg import blas_thread_count
+from firedre.config import BenchConfig
+from firedre.data import load_csv, simulate
+from firedre.kernels import KernelSpec, gaussian_kernel_matrix
+from firedre.linalg import NumericalError, blas_thread_count
+from firedre.selection import run_cells, worker_count
 
 GAUSS = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
 
@@ -227,6 +232,191 @@ class TestSimulateCommand:
         out2 = run(tmp_path, "simulate", self.CFG, out="b", extra=("--threads", "3"))
         assert (out1 / "bench.csv").read_bytes() == (out2 / "bench.csv").read_bytes()
         assert read_results(out1) == read_results(out2)
+
+
+class TestThreadsDefault:
+    def test_default_is_the_usable_cpus(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_estimate", lambda cfg, out, threads: seen.append(threads))
+        run(tmp_path, "estimate", ESTIMATE)
+        assert seen == [worker_count(os.cpu_count() or 1)]
+
+    @pytest.mark.parametrize("command, cfg", [("estimate", ESTIMATE), ("simulate", TestSimulateCommand.CFG)])
+    def test_default_outputs_match_one_thread_bytewise(self, tmp_path, command, cfg):
+        default = run(tmp_path, command, cfg, out="default")
+        one = run(tmp_path, command, cfg, out="one", extra=("--threads", "1"))
+        names = sorted(os.listdir(default))
+        assert names == sorted(os.listdir(one))
+        for name in names:
+            a, b = ((d / name).read_bytes() for d in (default, one))
+            if name == "results.json":  # the timestamp line aside
+                a, b = (b"".join(ln for ln in x.splitlines(True) if b'"timestamp"' not in ln) for x in (a, b))
+            assert a == b, name
+
+
+# === oracle: the per-method bandwidth loops the shared-Gram trial replaced ===
+
+
+def oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
+    best = (np.inf, np.nan, np.nan)
+    for t in t_grid:
+        try:
+            ests = fit(z_p, z_q, float(t), lam_grid)
+        except (NumericalError, np.linalg.LinAlgError):
+            continue
+        K_eval = gaussian_kernel_matrix(eval_X, z_p, ests[0].kernel)
+        V = np.stack([e.v if e.scale == "plain" else e.v / z_p.shape[0] for e in ests], axis=1)
+        preds = np.maximum(K_eval @ V, 0.0)
+        errs = np.mean((preds - r_eval[:, None]) ** 2, axis=0)
+        j = int(np.argmin(errs))
+        if errs[j] < best[0]:
+            best = (float(errs[j]), float(t), float(lam_grid[j]))
+    return best
+
+
+def oracle_tikde(z_p, z_q, eval_X, r_eval, t_grid):
+    best = (np.inf, np.nan, np.nan)
+    for t in t_grid:
+        k = KernelSpec(t=float(t))
+        p_hat = gaussian_kernel_matrix(eval_X, z_p, k).mean(axis=1)
+        q_hat = gaussian_kernel_matrix(eval_X, z_q, k).mean(axis=1)
+        for eps in tikde_epsilon_grid(z_p, t):
+            err = float(np.mean((q_hat / np.maximum(p_hat, eps) - r_eval) ** 2))
+            if err < best[0]:
+                best = (err, float(t), float(eps))
+    return best
+
+
+def oracle_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid):
+    best = (np.inf, np.nan, np.nan)
+    for t in t_grid:
+        G_eval = gaussian_kernel_matrix(eval_X, z_q, KernelSpec(t=float(t)))
+        for lam, est in zip(lam_grid, lsif_unconstrained(z_p, z_q, t, lam_grid)):
+            if est is None:
+                continue
+            err = float(np.mean((np.maximum(G_eval @ est.alpha, 0.0) - r_eval) ** 2))
+            if err < best[0]:
+                best = (err, float(t), float(lam))
+    return best
+
+
+def oracle_bench_csv(cfg_dict, path):
+    """bench.csv as the per-method loops write it, trials run like run_bench's."""
+    cfg = BenchConfig.from_dict(cfg_dict)
+    oracle = true_ratio(cfg.p_density, cfg.q_density)
+    lam_grid = np.asarray(cfg.grids.lam, dtype=np.float64)
+    s = cfg.solver
+    fit = cli.fit_factory(s.setting, gamma=s.gamma, t_prime_ratio=s.t_prime_ratio, q_fn=cfg.q_density.pdf,
+                          normalized=s.normalized)
+
+    def one(task):
+        n, rep = task
+        tag = f"bench:{n}:{rep}"
+        z_p = simulate(cfg.p_density, n, derive_seed(cfg.seed, tag + ":p"))
+        z_q = simulate(cfg.q_density, cfg.m, derive_seed(cfg.seed, tag + ":q"))
+        eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
+        r_eval = oracle.evaluate(eval_X)
+        t_grid = cli._t_grid(cfg.grids, z_p)
+        rows = []
+        if "fire" in cfg.methods:
+            rows.append(["fire", n, rep, *oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit)])
+        if "tikde" in cfg.methods:
+            rows.append(["tikde", n, rep, *oracle_tikde(z_p, z_q, eval_X, r_eval, t_grid)])
+        if "lsif" in cfg.methods:
+            rows.append(["lsif", n, rep, *oracle_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid)])
+        return rows
+
+    tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
+    rows = [row for pack in run_cells(one, tasks, 1) for row in pack]
+    write_csv(str(path), ["method", "n", "rep", "error", "t", "param"], rows)
+    return path.read_bytes()
+
+
+class TestSharedGramTrial:
+    T_GRID = [0.25, 0.5, 1.0, 2.0]
+    CFG = {
+        "seed": 8,
+        "p_density": {"kind": "mixture", "weights": [0.5, 0.5], "components": [
+            {"kind": "gaussian", "mean": [-2.0], "std": 1.0}, {"kind": "gaussian", "mean": [2.0], "std": 0.5}]},
+        "q_density": {"kind": "gaussian", "mean": [0.0], "std": 0.5},
+        "n_grid": [40, 70],
+        "m": 60,
+        "repetitions": 2,
+        "eval_n": 90,
+        "methods": ["fire", "tikde", "lsif"],
+        "solver": {"setting": "type15"},
+        "grids": {"t": T_GRID, "lambda": [1e-3, 1e-5, 1e-7]},
+    }
+
+    def cfg(self, **over):
+        cfg = dict(self.CFG)
+        cfg.update(over)
+        return cfg
+
+    def assert_matches_oracle(self, tmp_path, cfg, out="out"):
+        out = run(tmp_path, "simulate", cfg, out=out, extra=("--threads", "2"))
+        assert (out / "bench.csv").read_bytes() == oracle_bench_csv(cfg, tmp_path / f"{out.name}_oracle.csv")
+        return [line.split(",") for line in (out / "bench.csv").read_text().splitlines()[1:]]
+
+    def test_all_methods_match_oracle(self, tmp_path):
+        rows = self.assert_matches_oracle(tmp_path, self.cfg())
+        assert [r[0] for r in rows[:3]] == ["fire", "tikde", "lsif"]
+
+    @pytest.mark.parametrize("method", ["fire", "tikde", "lsif"])
+    def test_each_method_alone_matches_oracle(self, tmp_path, method):
+        rows = self.assert_matches_oracle(tmp_path, self.cfg(methods=[method]))
+        assert {r[0] for r in rows} == {method}
+
+    @pytest.mark.parametrize("setting", ["type15", "combined"])
+    def test_unnormalized_fire_kernel_matches_oracle(self, tmp_path, setting):
+        solver = {"setting": setting, "normalized": False}
+        if setting == "combined":
+            solver["gamma"] = 0.5
+        self.assert_matches_oracle(tmp_path, self.cfg(solver=solver))
+
+    def test_failed_fire_fit_skips_only_fire_at_that_t(self, tmp_path, monkeypatch):
+        cfg = self.cfg()
+        counts = {}
+        for row in self.assert_matches_oracle(tmp_path, cfg):
+            if row[0] == "tikde":
+                counts[float(row[4])] = counts.get(float(row[4]), 0) + 1
+        failing = max(counts, key=counts.get)  # a t where TIKDE scores best
+        factory = cli.fit_factory
+
+        def failing_factory(*args, **kwargs):
+            fit = factory(*args, **kwargs)
+
+            def flaky_fit(z_p, z_q, t, lams):
+                if t == failing:
+                    raise NumericalError("synthetic failure")
+                return fit(z_p, z_q, t, lams)
+
+            return flaky_fit
+
+        monkeypatch.setattr(cli, "fit_factory", failing_factory)
+        rows = self.assert_matches_oracle(tmp_path, cfg, out="flaky")
+        assert all(float(r[4]) != failing for r in rows if r[0] == "fire")
+        assert any(float(r[4]) == failing for r in rows if r[0] == "tikde")
+        assert all(np.isfinite(float(r[3])) for r in rows)
+
+    @pytest.mark.parametrize("normalized, per_t", [(True, 2), (False, 3)])
+    def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, per_t):
+        builds, alive = [], []
+        gram = cli.gaussian_kernel_matrix
+
+        def spy(A, B, spec):
+            assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
+            G = gram(A, B, spec)
+            builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest(), spec))
+            alive.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(cli, "gaussian_kernel_matrix", spy)
+        cfg = self.cfg(solver={"setting": "type15", "normalized": normalized})
+        run(tmp_path, "simulate", cfg, extra=("--threads", "1"))
+        trials = len(cfg["n_grid"]) * cfg["repetitions"]
+        assert len(builds) == trials * len(self.T_GRID) * per_t
+        assert len(set(builds)) == len(builds)
 
 
 class TestDownstreamCommand:

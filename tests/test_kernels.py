@@ -211,6 +211,35 @@ class TestBandwidthGrid:
         assert t0 == float(D[:, :neighbors].mean())
         assert np.array_equal(grid, t0 * 2.0 ** np.arange(10))
 
+    @pytest.mark.parametrize("n, d", [(1000, 2), (1350, 5)])
+    def test_matches_full_sort_bitwise_over_many_blocks(self, n, d):
+        # the mean must add in the full matrix's order: summing the same
+        # values from a contiguous (n, 10) array differs in the last bit here
+        X = np.random.default_rng(0).standard_normal((n, d))
+        D = np.sqrt(np.maximum(kernels._sq_dists(X, X), 0.0))
+        np.fill_diagonal(D, np.inf)
+        D.sort(axis=1)
+        assert bandwidth_grid(X)[0] == float(D[:, :10].mean())
+
+    @pytest.mark.parametrize("n, d", [(60, 1), (200, 5)])
+    def test_t0_does_not_depend_on_block_size(self, monkeypatch, n, d):
+        X = rand_points(np.random.default_rng(n * d), n, d)
+        X[1::7] = X[::7][: len(X[1::7])]
+        rows, sq_dists = [], kernels._sq_dists
+
+        def spy(A, B):
+            rows.append(A.shape[0])
+            return sq_dists(A, B)
+
+        monkeypatch.setattr(kernels, "_sq_dists", spy)
+        t0 = bandwidth_grid(X)[0]
+        assert max(rows) <= max(1, kernels._BLOCK_ELEMS // n)
+        for rows_per_block in (1, 7, n - 1, n):
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", rows_per_block * n)
+            rows.clear()
+            assert bandwidth_grid(X)[0] == t0
+            assert max(rows) == rows_per_block and sum(rows) == n
+
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 11"):
             bandwidth_grid(np.zeros((10, 1)))

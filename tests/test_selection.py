@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import firedre.selection as selection
+import firedre.solvers as solvers
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, blas_thread_count, blas_threads
 from firedre.selection import (
@@ -282,6 +284,76 @@ class TestKfoldCv:
             kfold_cv(z_p, z_q, constant_fit, [1.0], [1e-5], vs, folds=1)
         with pytest.raises(ValueError, match="grid"):
             kfold_cv(z_p, z_q, constant_fit, [], [1e-5], vs, folds=2)
+
+
+class PerEstimate:
+    """Hides a RatioEstimate behind plain evaluate(), so each one builds its own Gram."""
+
+    def __init__(self, est):
+        self.est = est
+
+    def evaluate(self, X):
+        return self.est.evaluate(X)
+
+
+def gaussian_q(points):
+    return np.exp(-0.5 * np.sum(points ** 2, axis=1)) / (2.0 * np.pi) ** (points.shape[1] / 2)
+
+
+class TestSharedValidationGram:
+    GRID = ([0.3, 0.8, 2.0], [1e-4, 1e-6, 1e-8])
+
+    def cv(self, fit, threads=1):
+        z_p, z_q = small_problem(12, n=30, m=36)
+        vs = make_validation_set("linear", d=2, count=5, seed=4)
+        return kfold_cv(z_p, z_q, fit, *self.GRID, vs, folds=3, seed=2, threads=threads)
+
+    @pytest.mark.parametrize("setting", ["type1", "type15", "type2", "combined", "rkhs_loss"])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_fold_scores_match_per_estimate_evaluate(self, setting, normalized):
+        fit = fit_factory(setting, gamma=0.3, q_fn=gaussian_q, normalized=normalized)
+        shared = self.cv(fit, threads=2)
+        reference = self.cv(lambda *args: [PerEstimate(e) for e in fit(*args)], threads=2)
+        assert np.isfinite(shared.fold_scores).any()
+        assert np.array_equal(shared.fold_scores, reference.fold_scores)
+
+    @pytest.mark.parametrize("setting", ["type15", "combined"])
+    def test_one_validation_gram_per_cell(self, monkeypatch, setting):
+        builds, evaluations = [], []
+        gram, evaluate = selection.gaussian_kernel_matrix, solvers.evaluate
+
+        def spy_gram(A, B, spec):
+            builds.append((A.shape[0], B.shape[0]))
+            return gram(A, B, spec)
+
+        def spy_evaluate(*args, **kwargs):
+            evaluations.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "gaussian_kernel_matrix", spy_gram)
+        monkeypatch.setattr(solvers, "evaluate", spy_evaluate)
+        self.cv(fit_factory(setting, gamma=0.3))
+        # 30 points in 3 folds of 10: one 10 x 20 Gram per (fold, t), no per-estimate evaluate
+        assert builds == [(10, 20)] * (3 * len(self.GRID[0]))
+        assert evaluations == []
+
+    def test_estimates_with_own_centers_evaluate_one_by_one(self, monkeypatch):
+        evaluations = []
+        evaluate = solvers.evaluate
+        type1 = fit_factory("type1")
+
+        def copied_centers(z_p_train, z_q, t, lams):
+            return [dataclasses.replace(e, centers=e.centers.copy()) for e in type1(z_p_train, z_q, t, lams)]
+
+        def spy_evaluate(*args, **kwargs):
+            evaluations.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "evaluate", spy_evaluate)
+        res = self.cv(copied_centers)
+        monkeypatch.undo()
+        assert len(evaluations) == res.fold_scores.size
+        assert np.array_equal(res.fold_scores, self.cv(type1).fold_scores)
 
 
 class TestFitFactory:
