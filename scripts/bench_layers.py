@@ -1,0 +1,136 @@
+"""Time the spectral layer and the regularization path at fixed, named sizes.
+
+For each size (n p-points and m = 2n q-points in d dimensions, fixed seed)
+this builds K_pp = k(z_p, z_p) / n and the type1 target K_pq 1, then records
+the median over REPEATS calls, after one warm-up call, of:
+
+- eigh_ms: `linalg.eigh_descending(K_pp)`, the dense n x n eigendecomposition
+- path_ms: `solvers._same_kernel_path` over the six-value lambda grid, as the
+  build ships it (rank-adaptive where the build has the pivoted-Cholesky
+  engine), with `eigh_order`, the order of the matrix the path eigendecomposed
+- path_dense_ms: the same path with the engine switched off, so it runs the
+  dense eigendecomposition (equal to path_ms on builds without the engine)
+
+d = 1 uses a two-component Gaussian mixture and the normalized kernel at
+t = 0.4, where K_pp is numerically low rank; d = 5 uses standard normal
+points and the unnormalized kernel at t = 1, where it is full rank.  Every
+call runs on one BLAS thread, as the CV cells and `simulate` trials do.  The
+record also holds the numpy version, the BLAS name and version, nproc, the
+BLAS thread counts and the BLAS thread settings found in the environment.  It
+is appended to the "records" list of --out, so records of several builds sit
+side by side.
+
+--src imports firedre from another checkout's src/ directory, to time two
+versions with the same harness:
+
+    python scripts/bench_layers.py --label change
+    python scripts/bench_layers.py --label parent --src ../parent/src
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+from unittest import mock
+
+import numpy as np
+
+# (name, n, d, t, normalized); m = 2n
+SIZES = (
+    ("n500_d1", 500, 1, 0.4, True),
+    ("n1000_d1", 1000, 1, 0.4, True),
+    ("n2000_d1", 2000, 1, 0.4, True),
+    ("n500_d5", 500, 5, 1.0, False),
+    ("n1000_d5", 1000, 5, 1.0, False),
+    ("n2000_d5", 2000, 5, 1.0, False),
+)
+# timed calls per size and function
+REPEATS = 5
+LAMS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+
+
+def median_ms(fn):
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return 1e3 * times[len(times) // 2]
+
+
+def samples(rng, n, d):
+    if d == 1:
+        mixture = np.concatenate([rng.normal(-2.0, 1.0, n // 2), rng.normal(2.0, 0.5, n - n // 2)])
+        return rng.permutation(mixture)[:, None], rng.normal(0.0, 0.5, (2 * n, 1))
+    return rng.standard_normal((n, d)), rng.standard_normal((2 * n, d))
+
+
+def run():
+    from firedre import kernels, linalg, solvers
+
+    rng = np.random.default_rng(0)
+    lams = np.asarray(LAMS)
+    results = {}
+    with linalg.blas_threads(1):
+        inside = linalg.blas_thread_count()
+        for name, n, d, t, normalized in SIZES:
+            z_p, z_q = samples(rng, n, d)
+            k = kernels.KernelSpec(t=t, normalized=normalized)
+            K_pp = kernels.gaussian_kernel_matrix(z_p, z_p, k) / n
+            target = kernels.gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / z_q.shape[0]
+
+            def path():
+                return solvers._same_kernel_path(z_p, K_pp, target, k, lams)
+
+            row = {"n": n, "m": 2 * n, "d": d, "t": t, "normalized": normalized}
+            row["eigh_ms"] = median_ms(lambda: linalg.eigh_descending(K_pp))
+            with mock.patch.object(solvers, "eigh_descending", side_effect=linalg.eigh_descending) as eigh:
+                path()
+            row["eigh_order"] = eigh.call_args.args[0].shape[0]
+            row["path_ms"] = median_ms(path)
+            if hasattr(solvers, "pivoted_cholesky"):
+                with mock.patch.object(solvers, "pivoted_cholesky", return_value=None):
+                    row["path_dense_ms"] = median_ms(path)
+            else:
+                row["path_dense_ms"] = row["path_ms"]
+            results[name] = row
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "blas_threads": {"outside_cells": linalg.blas_thread_count(), "timed": inside},
+        "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "results": results,
+    }
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="name of the build being timed")
+    parser.add_argument("--src", default=os.path.join(here, "..", "src"), help="directory holding the firedre package")
+    parser.add_argument("--out", default=os.path.join(here, "..", "BENCH_layers.json"), help="JSON file to append to")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    record = {"label": args.label, **run()}
+    data = {"records": []}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    data["records"].append(record)
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    for name, r in record["results"].items():
+        print(f"{args.label:>8} {name:>9}  eigh {r['eigh_ms']:9.2f} ms  path {r['path_ms']:9.2f} ms"
+              f" (eigh order {r['eigh_order']:4d})  dense path {r['path_dense_ms']:9.2f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

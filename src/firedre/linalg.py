@@ -4,6 +4,7 @@ import ctypes
 import ctypes.util
 import functools
 import glob
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -35,6 +36,57 @@ def eigh_descending(S):
     signs[signs == 0.0] = 1.0
     Q *= signs
     return w, Q
+
+
+# pivots between two looks at how fast the residual trace falls
+_CHECK = 8
+
+
+def pivoted_cholesky(K, tol, cap):
+    """Greedy pivoted Cholesky factor of a positive semidefinite matrix.
+
+    Returns L of shape (r, n) with K ~ L'L, where each pivot is the largest
+    diagonal entry of the residual K - L'L and r is the first count at which
+    the residual trace is at most ``tol * trace(K)``; or None when r would
+    exceed ``cap``, or K has no positive finite trace.
+
+    Every _CHECK pivots the attempt gives up early, returning None, when the
+    residual trace will not plausibly reach the tolerance by the cap: when the
+    fall in log(residual trace) per pivot still needed exceeds the fall per
+    pivot over the last _CHECK pivots, if that is below the average so far
+    (the decay is slowing), or 8 times it otherwise.  The Gaussian Gram of
+    low-dimensional data decays faster as pivots accrue and is let through;
+    a full-rank one decays ever slower and is caught after a few checks.
+    The result depends only on K.
+    """
+    n = K.shape[0]
+    d = K.diagonal().copy()
+    trace = d.sum()
+    if not 0.0 < trace < np.inf:
+        return None
+    stop = tol * trace
+    L = np.empty((cap, n))
+    sq = np.empty(n)
+    mark = trace
+    for j in range(cap):
+        i = d.argmax()
+        row = L[j]
+        np.matmul(L[:j, i], L[:j], out=row)
+        np.subtract(K[i], row, out=row)
+        row /= math.sqrt(d[i])
+        np.square(row, out=sq)
+        d -= sq
+        left = d.sum()
+        done = j + 1
+        if left <= stop:
+            return L[:done]
+        if done % _CHECK == 0 and done < cap:
+            recent = math.log(mark / left) / _CHECK
+            needed = math.log(left / stop) / (cap - done)
+            if needed > (1.0 if recent < math.log(trace / left) / done else 8.0) * recent:
+                return None
+            mark = left
+    return None
 
 
 def solve_linear(A, b, context=""):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
-from .linalg import NumericalError, eigh_descending, solve_linear
+from .linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear
 
 OBJECTIVE_SETTINGS = ("type1_l2p", "combined", "rkhs_loss", "type2", "type15")
 
@@ -116,6 +116,16 @@ def _check_lam(lam):
         raise ValueError(f"lam must be finite and > 0, got {lam}")
 
 
+def _check_lams(lams):
+    """The lambda grid of a regularization path as a float array, validated."""
+    lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1 or lams.size == 0:
+        raise ValueError("lams must be a non-empty 1-d sequence")
+    for lam in lams:
+        _check_lam(lam)
+    return lams
+
+
 # === Tikhonov solvers ===
 
 
@@ -156,11 +166,7 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams):
     Returns one RatioEstimate per entry of lams; function values agree with
     the per-lam direct solves.
     """
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lams must be a non-empty 1-d sequence")
-    for lam in lams:
-        _check_lam(lam)
+    lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
@@ -171,11 +177,7 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams):
 
 def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams):
     """Regularization path of solve_type15 when k_H equals k (see solve_type1_path)."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lams must be a non-empty 1-d sequence")
-    for lam in lams:
-        _check_lam(lam)
+    lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
@@ -186,28 +188,42 @@ def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams):
 
 def solve_type2_path(z_p, q_values, k: KernelSpec, lams):
     """Regularization path of solve_type2 when k_H equals k (see solve_type1_path)."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lams must be a non-empty 1-d sequence")
-    for lam in lams:
-        _check_lam(lam)
+    lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     q = _check_q_values(q_values, z_p.shape[0])
     K_pp = gaussian_kernel_matrix(z_p, z_p, k) / z_p.shape[0]
     return _same_kernel_path(z_p, K_pp, q, k, lams)
 
 
+# residual-trace tolerance of the pivoted Cholesky factor of K_pp
+_RANK_TOL = 1e-14
+
+
+def _spectrum(K_pp):
+    """(w, Q) with K_pp ~ Q diag(w) Q', of rank r from a pivoted Cholesky factor.
+
+    The Gaussian K_pp of low-dimensional data is numerically low rank: with
+    K_pp ~ L'L to a residual trace of _RANK_TOL * trace(K_pp), a thin QR
+    L' = Q_L R and the r x r eigendecomposition R R' = V diag(w) V' give
+    Q = Q_L V.  Up to r = n // 3 that costs less than the dense
+    eigendecomposition, which is used past it, so K_pp alone decides the path.
+    """
+    L = pivoted_cholesky(K_pp, _RANK_TOL, K_pp.shape[0] // 3)
+    if L is None:
+        return eigh_descending(K_pp)
+    Q_L, R = np.linalg.qr(L.T)
+    w, V = eigh_descending(R @ R.T)
+    return w, Q_L @ V
+
+
 def _same_kernel_path(z_p, K_pp, target, k, lams):
-    w, Q = eigh_descending(K_pp)
+    w, Q = _spectrum(K_pp)
     c = Q.T @ target
-    out = []
-    for lam in lams:
-        denom = w ** 3 + lam
-        if np.any(denom <= 0.0):
-            raise NumericalError(f"non-positive shifted eigenvalue in path at lam={lam}")
-        coef = Q @ (w / denom * c)
-        out.append(RatioEstimate(centers=z_p, v=coef, kernel=k, scale="over_n"))
-    return out
+    denoms = w ** 3 + lams[:, None]
+    bad = np.flatnonzero((denoms <= 0.0).any(axis=1))
+    if bad.size:
+        raise NumericalError(f"non-positive shifted eigenvalue in path at lam={lams[bad[0]]}")
+    return [RatioEstimate(centers=z_p, v=Q @ (w / denom * c), kernel=k, scale="over_n") for denom in denoms]
 
 
 def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firedre.kernels import KernelSpec, gaussian_kernel_matrix
-from firedre.linalg import NumericalError, eigh_descending, solve_linear
+from firedre import solvers
+from firedre.baselines import GaussianDensity, MixtureDensity
+from firedre.data import simulate
+from firedre.kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
+from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear
+from firedre.selection import LAMBDA_GRID
 from firedre.solvers import (
     RatioEstimate,
     TikhonovConfig,
@@ -517,3 +521,124 @@ class TestSolverErrors:
         z_p, z_q = instance(25, n=4, m=4)
         with pytest.raises(ValueError):
             solve_type1_path(z_p, z_q, KernelSpec(t=1.0), np.array([]))
+
+
+MIXTURE_1D = MixtureDensity(
+    weights=(0.5, 0.5),
+    components=(GaussianDensity(mean=(-2.0,), std=1.0), GaussianDensity(mean=(2.0,), std=0.5)),
+)
+NARROW_1D = GaussianDensity(mean=(0.0,), std=0.5)
+
+
+def dense_path(z_p, K_pp, target, k, lams):
+    """The regularization path from the dense eigendecomposition of K_pp."""
+    w, Q = eigh_descending(K_pp)
+    c = Q.T @ target
+    return [RatioEstimate(centers=z_p, v=Q @ (w / (w ** 3 + lam) * c), kernel=k, scale="over_n") for lam in lams]
+
+
+def gap_to_dense(z_p, z_q, k, lams, probes):
+    """Largest relative gap of solve_type1_path's values at probes to the dense-eigh path."""
+    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / z_p.shape[0]
+    target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / z_q.shape[0]
+    gaps = []
+    for est, ref in zip(solve_type1_path(z_p, z_q, k, lams), dense_path(z_p, K_pp, target, k, lams)):
+        f, f_ref = est.evaluate(probes), ref.evaluate(probes)
+        gaps.append(float(np.linalg.norm(f - f_ref) / np.linalg.norm(f_ref)))
+    return max(gaps)
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Orders of the matrices solvers hands to eigh_descending, in call order."""
+    sizes = []
+
+    def spy(S):
+        sizes.append(S.shape[0])
+        return eigh_descending(S)
+
+    monkeypatch.setattr(solvers, "eigh_descending", spy)
+    return sizes
+
+
+def grid_gap(z_p, z_q, t_grid, probes):
+    return max(gap_to_dense(z_p, z_q, KernelSpec(t=float(t)), LAMBDA_GRID, probes) for t in t_grid)
+
+
+class TestLowRankSpectrum:
+    """The paths factor K_pp by pivoted Cholesky when it is numerically low rank."""
+
+    def test_c06_cells_match_dense(self, eigh_sizes):
+        z_p = simulate(MIXTURE_1D, 200, 12345)
+        z_q = simulate(NARROW_1D, 400, 54321)
+        probes = np.random.default_rng(42).uniform(-4, 4, size=(20, 1))
+        assert grid_gap(z_p, z_q, bandwidth_grid(z_p)[1], probes) <= 1e-10
+        assert len(eigh_sizes) == 10 and min(eigh_sizes) < 200
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_1d_grid_matches_dense(self, n, eigh_sizes):
+        z_p = simulate(MIXTURE_1D, n, 7)
+        z_q = simulate(NARROW_1D, n, 8)
+        assert grid_gap(z_p, z_q, bandwidth_grid(z_p)[1], np.linspace(-5.0, 4.0, 40)[:, None]) <= 1e-10
+        assert sum(size < n for size in eigh_sizes) >= 7
+
+    def test_2d_engaged_matches_dense(self, eigh_sizes):
+        z_p, z_q = instance(31, n=300, m=300)
+        probes = np.random.default_rng(9).standard_normal((30, 2))
+        assert grid_gap(z_p, z_q, bandwidth_grid(z_p)[1][-4:], probes) <= 1e-10
+        assert any(size < 300 for size in eigh_sizes)
+
+    def test_5d_full_rank_falls_back_bitwise(self, eigh_sizes):
+        rng = np.random.default_rng(12)
+        z_p = rng.standard_normal((240, 5)) * np.array([3.0, 0.7, 0.7, 0.7, 0.7])
+        z_q = rng.standard_normal((300, 5))
+        for t in bandwidth_grid(z_p)[1]:
+            k = KernelSpec(t=float(t), normalized=False)
+            path = solve_type1_path(z_p, z_q, k, LAMBDA_GRID)
+            K_pp = gaussian_kernel_matrix(z_p, z_p, k) / 240
+            target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / 300
+            for est, ref in zip(path, dense_path(z_p, K_pp, target, k, LAMBDA_GRID)):
+                assert np.array_equal(est.v, ref.v)
+        assert eigh_sizes == [240] * 10
+
+    def test_duplicated_points_are_rank_deficient(self, eigh_sizes):
+        z_p = np.repeat(np.array([[-1.0], [0.3], [2.0]]), 4, axis=0)
+        z_q = simulate(NARROW_1D, 20, 3)
+        probes = np.linspace(-2.0, 3.0, 11)[:, None]
+        assert gap_to_dense(z_p, z_q, KernelSpec(t=0.5), np.array([1e-3, 1e-6]), probes) <= 1e-10
+        assert eigh_sizes == [3]
+
+    def test_residual_rounding_below_zero_stops(self):
+        # x / sqrt(x) squared rounds above x, so one pivot leaves a negative residual
+        x = next(x for x in np.linspace(0.1, 1.0, 1000) if (x / np.sqrt(x)) ** 2 > x)
+        K = np.full((4, 4), x)
+        L = pivoted_cholesky(K, 1e-14, 4)
+        assert L.shape == (1, 4)
+        assert np.allclose(L.T @ L, K, rtol=1e-15, atol=0)
+
+    def test_single_point(self, eigh_sizes):
+        z_p, z_q = np.array([[0.4]]), np.array([[0.1], [0.9]])
+        k = KernelSpec(t=0.3)
+        lams = np.array([1e-2, 1e-5])
+        K_pp = gaussian_kernel_matrix(z_p, z_p, k)
+        target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / 2
+        for est, ref in zip(solve_type1_path(z_p, z_q, k, lams), dense_path(z_p, K_pp, target, k, lams)):
+            assert np.array_equal(est.v, ref.v)
+        assert eigh_sizes == [1]
+        assert pivoted_cholesky(np.array([[4.0]]), 1e-14, 1).tolist() == [[2.0]]
+
+    @pytest.mark.parametrize("copies,order", [(3, 3), (2, 6)])
+    def test_rank_exactly_at_cap(self, copies, order, eigh_sizes):
+        # three distinct points give rank 3; the cap n // 3 is 3 for n = 9 and 2 for n = 6
+        z_p = np.repeat(np.array([[-1.0], [0.5], [1.5]]), copies, axis=0)
+        z_q = simulate(NARROW_1D, 10, 4)
+        probes = np.linspace(-2.0, 2.0, 9)[:, None]
+        assert gap_to_dense(z_p, z_q, KernelSpec(t=0.4), np.array([1e-4]), probes) <= 1e-10
+        assert eigh_sizes == [order]
+
+    def test_huge_bandwidth_is_rank_one(self, eigh_sizes):
+        z_p, z_q = instance(32, n=30, m=20)
+        probes = np.random.default_rng(10).standard_normal((5, 2))
+        k = KernelSpec(t=1e20, normalized=False)
+        assert gap_to_dense(z_p, z_q, k, np.array([1e-3, 1e-8]), probes) <= 1e-10
+        assert eigh_sizes == [1]
