@@ -1,4 +1,4 @@
-"""Time the spectral layer and the regularization path at fixed, named sizes.
+"""Time the spectral layer, the regularization path and the CV grid at fixed, named sizes.
 
 For each size (n p-points and m = 2n q-points in d dimensions, fixed seed)
 this builds K_pp = k(z_p, z_p) / n and the type1 target K_pq 1, then records
@@ -13,12 +13,25 @@ the median over REPEATS calls, after one warm-up call, of:
 
 d = 1 uses a two-component Gaussian mixture and the normalized kernel at
 t = 0.4, where K_pp is numerically low rank; d = 5 uses standard normal
-points and the unnormalized kernel at t = 1, where it is full rank.  Every
-call runs on one BLAS thread, as the CV cells and `simulate` trials do.  The
-record also holds the numpy version, the BLAS name and version, nproc, the
-BLAS thread counts and the BLAS thread settings found in the environment.  It
-is appended to the "records" list of --out, so records of several builds sit
-side by side.
+points and the unnormalized kernel at t = 1, where it is full rank.
+
+For each CV size it also records, as kfold_cv_ms, the median over REPEATS
+calls of `selection.kfold_cv` with `fit_factory("type1")` over the ten-value
+`bandwidth_grid` of the p-points, the six-value lambda grid and 5 folds,
+serially, with the selected cell:
+
+- cv_shift5d: 400 p- and 400 q-points in d = 5 (the coordinate spreads of
+  the benchmark's shift-5d data), unnormalized kernel, 20 linear validation
+  functions: the CV subsets of shift-5d's `downstream`
+- cv_estimate_d1: 800 p-points from N(0, 1) and 800 q-points from
+  N(0.5, 0.8^2), normalized kernel, 50 linear validation functions: the CV
+  subsets of `estimate` at n = m = 1000, d = 1
+
+Every call runs on one BLAS thread, as the CV cells and `simulate` trials
+do.  The record also holds the numpy version, the BLAS name and version,
+nproc, the BLAS thread counts and the BLAS thread settings found in the
+environment.  It is appended to the "records" list of --out, so records of
+several builds sit side by side.
 
 --src imports firedre from another checkout's src/ directory, to time two
 versions with the same harness:
@@ -48,6 +61,12 @@ SIZES = (
 # timed calls per size and function
 REPEATS = 5
 LAMS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+# (name, n p-points, m q-points, d, normalized, validation functions)
+CV_SIZES = (
+    ("cv_shift5d", 400, 400, 5, False, 20),
+    ("cv_estimate_d1", 800, 800, 1, True, 50),
+)
+STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
 
 
 def median_ms(fn):
@@ -68,8 +87,14 @@ def samples(rng, n, d):
     return rng.standard_normal((n, d)), rng.standard_normal((2 * n, d))
 
 
+def cv_samples(rng, n, m, d):
+    if d == 5:
+        return rng.standard_normal((n, d)) * STD_5D, rng.standard_normal((m, d)) * STD_5D
+    return rng.standard_normal((n, 1)), rng.normal(0.5, 0.8, (m, 1))
+
+
 def run():
-    from firedre import kernels, linalg, solvers
+    from firedre import kernels, linalg, selection, solvers
 
     rng = np.random.default_rng(0)
     lams = np.asarray(LAMS)
@@ -97,6 +122,21 @@ def run():
             else:
                 row["path_dense_ms"] = row["path_ms"]
             results[name] = row
+        rng = np.random.default_rng(1)
+        for name, n, m, d, normalized, count in CV_SIZES:
+            z_p, z_q = cv_samples(rng, n, m, d)
+            t_grid = kernels.bandwidth_grid(z_p)[1]
+            fit = selection.fit_factory("type1", normalized=normalized)
+            validation = selection.make_validation_set("linear", d, count, seed=1)
+
+            def cv():
+                return selection.kfold_cv(z_p, z_q, fit, t_grid, lams, validation, folds=5, seed=2)
+
+            res = cv()
+            results[name] = {
+                "n": n, "m": m, "d": d, "normalized": normalized, "validation": count,
+                "kfold_cv_ms": median_ms(cv), "selected": [res.selected_t, res.selected_lam],
+            }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -127,7 +167,10 @@ def main(argv=None):
         json.dump(data, fh, indent=2)
         fh.write("\n")
     for name, r in record["results"].items():
-        print(f"{args.label:>8} {name:>9}  eigh {r['eigh_ms']:9.2f} ms  path {r['path_ms']:9.2f} ms"
+        if "kfold_cv_ms" in r:
+            print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")
+            continue
+        print(f"{args.label:>8} {name:>14}  eigh {r['eigh_ms']:9.2f} ms  path {r['path_ms']:9.2f} ms"
               f" (eigh order {r['eigh_order']:4d})  dense path {r['path_dense_ms']:9.2f} ms")
     return 0
 

@@ -77,18 +77,27 @@ def _sq_dists(A, B):
     return out
 
 
-def gaussian_kernel_matrix(A, B, spec: KernelSpec):
+def gaussian_kernel_matrix(A, B, spec: KernelSpec, sq=None):
     """Kernel matrix G with G[i, j] = k_t(A[i], B[j]).
 
     A is (n, d), B is (m, d); returns (n, m).  Entries lie in
     (0, c(t)] and the matrix is symmetric positive semidefinite when A is B.
+    ``sq``, when given, is _sq_dists(A, B) or an index slice of the squared
+    distances of larger samples, which is bitwise the same; G is then built
+    from it, left unchanged, with the same arithmetic, and in C order
+    whatever the layout of sq, so that products with G add in the same order.
     """
     A = as_sample_matrix(A, "A")
     B = as_sample_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: A has d={A.shape[1]}, B has d={B.shape[1]}")
-    G = _sq_dists(A, B)
-    np.divide(G, -2.0 * spec.t, out=G)
+    if sq is None:
+        G = _sq_dists(A, B)
+        np.divide(G, -2.0 * spec.t, out=G)
+    elif sq.shape != (A.shape[0], B.shape[0]):
+        raise ValueError(f"sq has shape {sq.shape}, expected {(A.shape[0], B.shape[0])}")
+    else:
+        G = np.divide(sq, -2.0 * spec.t, order="C")
     np.exp(G, out=G)
     if spec.normalized:
         d = A.shape[1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
+from .kernels import KernelSpec, _sq_dists, as_sample_matrix, gaussian_kernel_matrix
 from .linalg import NumericalError, blas_threads
 from .solvers import (
     RatioEstimate,
@@ -35,6 +35,9 @@ VALIDATION_FAMILIES = ("linear", "halfspace", "kernel_combo", "kernel_indicator"
 # default ridge grid: 1e-5 down to 1e-10 by decades (literals, so the
 # values match what a config file spells out)
 LAMBDA_GRID = np.array([1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+
+# fit_factory settings solved by a regularization path over Grams
+_PATH_SETTINGS = ("type1", "type15", "type2")
 
 
 @dataclass(eq=False)
@@ -170,37 +173,51 @@ def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=Tr
     the shared-eigendecomposition path (loss kernel doubles as RKHS kernel);
     combined and rkhs_loss solve each lam directly.  type2 needs q_fn, a
     callable giving q values at arbitrary points.
+
+    For the path settings the callback also has a Gram-level entry,
+    ``fit.on_sq_dists(z_p_train, z_q, t, lams, sq_pp, sq_pq)``, which builds
+    the Grams from the squared distances of z_p_train to itself and to z_q
+    and returns the same estimates bit for bit; its estimates are centered
+    on z_p_train itself.  kfold_cv uses it to compute the distances once.
     """
     if setting == "type2" and q_fn is None:
         raise ValueError("type2 fitting needs q_fn")
 
-    def fit(z_p_train, z_q, t, lams):
+    def path(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None):
         k = KernelSpec(t=float(t), normalized=normalized)
         if setting == "type1":
-            return solve_type1_path(z_p_train, z_q, k, lams)
+            return solve_type1_path(z_p_train, z_q, k, lams, sq_pp=sq_pp, sq_pq=sq_pq)
         if setting == "type2":
-            return solve_type2_path(z_p_train, q_fn(z_p_train), k, lams)
+            return solve_type2_path(z_p_train, q_fn(z_p_train), k, lams, sq_pp=sq_pp)
+        k_prime = KernelSpec(t=float(t) * t_prime_ratio, normalized=normalized)
+        return solve_type15_path(z_p_train, z_q, k, k_prime, lams, sq_pp=sq_pp, sq_pq=sq_pq)
+
+    def fit(z_p_train, z_q, t, lams):
+        if setting in _PATH_SETTINGS:
+            return path(z_p_train, z_q, t, lams)
+        k = KernelSpec(t=float(t), normalized=normalized)
         if setting == "rkhs_loss":
             return [solve_rkhs_loss(z_p_train, z_q, k, lam) for lam in lams]
         if setting == "combined":
             return [solve_combined(z_p_train, z_q, k, k, gamma, lam) for lam in lams]
-        if setting == "type15":
-            k_prime = KernelSpec(t=float(t) * t_prime_ratio, normalized=normalized)
-            return solve_type15_path(z_p_train, z_q, k, k_prime, lams)
         raise ValueError(f"unknown solver setting {setting!r}")
 
+    if setting in _PATH_SETTINGS:
+        fit.on_sq_dists = path
     return fit
 
 
 _CELL_ERRORS = (NumericalError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _values_at(estimates, X):
+def _values_at(estimates, X, sq=None):
     """Each estimate's values at X, None where evaluation fails.
 
     Estimates that share one centers array and one kernel, as those of a
     path solver do, read one Gram k(X, centers): est.values(G) is exactly
-    est.evaluate(X).  Any other list is evaluated estimate by estimate.
+    est.evaluate(X).  ``sq``, when given, holds the squared distances from X
+    to those centers, and the Gram is built from it.  Any other list is
+    evaluated estimate by estimate.
     """
     estimates = list(estimates)
     G = None
@@ -209,7 +226,7 @@ def _values_at(estimates, X):
         isinstance(e, RatioEstimate) and e.centers is head.centers and e.kernel == head.kernel for e in estimates
     ):
         try:
-            G = gaussian_kernel_matrix(X, head.centers, head.kernel)
+            G = gaussian_kernel_matrix(X, head.centers, head.kernel, sq=sq)
         except _CELL_ERRORS:
             return [None] * len(estimates)
     out = []
@@ -221,16 +238,30 @@ def _values_at(estimates, X):
     return out
 
 
-def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means):
-    """Held-out J for one (fold, t) against every lam; failures give +inf."""
+def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means, sq=None):
+    """Held-out J for one (fold, t) against every lam; failures give +inf.
+
+    ``sq`` = (D_pp, D_pq), the squared distances of z_p to z_p and to z_q,
+    sends the fit through fit.on_sq_dists and builds every Gram of the cell
+    from index slices of them.  np.take along each axis gives the slices in
+    C order, which gaussian_kernel_matrix reads without a transposing copy.
+    """
     L = len(lams)
     out = np.full(L, np.inf)
+    z_train = z_p[train_idx]
     try:
-        estimates = fit(z_p[train_idx], z_q, t, lams)
+        if sq is None:
+            estimates = fit(z_train, z_q, t, lams)
+        else:
+            D_pp, D_pq = sq
+            estimates = fit.on_sq_dists(
+                z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), D_pq.take(train_idx, 0)
+            )
     except _CELL_ERRORS:
         return out
     val = z_p[val_idx]
-    for j, f_val in enumerate(_values_at(estimates, val)):
+    sq_val = None if sq is None else sq[0].take(val_idx, 0).take(train_idx, 1)
+    for j, f_val in enumerate(_values_at(estimates, val, sq_val)):
         if f_val is None or not np.all(np.isfinite(f_val)):
             continue
         lhs = (U_val * f_val).sum(axis=1) / val.shape[0]
@@ -249,6 +280,14 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     Ties break toward the smallest t, then the largest lambda.  Deterministic
     given the seed; the cells go through run_cells, so ``threads`` only
     parallelizes them and changes no result bit.
+
+    A Gaussian Gram sees the points only through their squared distances.
+    When ``fit`` has a Gram-level entry (fit_factory's path settings), the
+    distances D_pp = D(z_p, z_p) and D_pq = D(z_p, z_q) are computed once per
+    call, n^2 + n m floats, and each cell builds its train x train,
+    train x q and validation x train Grams from index slices of them, which
+    are bitwise the distances of the subsets.  Any other callable is called
+    as fit(z_p_train, z_q, t, lams).
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -256,6 +295,8 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     lam_grid = np.asarray(lam_grid, dtype=np.float64)
     if t_grid.ndim != 1 or t_grid.size == 0 or lam_grid.ndim != 1 or lam_grid.size == 0:
         raise ValueError("t_grid and lam_grid must be non-empty 1-d arrays")
+    if z_p.shape[1] != z_q.shape[1]:
+        raise ValueError(f"dimension mismatch: z_p has d={z_p.shape[1]}, z_q has d={z_q.shape[1]}")
     n = z_p.shape[0]
     if not 2 <= folds <= n:
         raise ValueError(f"folds must lie in [2, {n}], got {folds}")
@@ -275,9 +316,11 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
         for it, t in enumerate(t_grid):
             tasks.append((f, it, t, train_idx, val_idx, U_val))
 
+    sq = (_sq_dists(z_p, z_p), _sq_dists(z_p, z_q)) if hasattr(fit, "on_sq_dists") else None
+
     def run(task):
         f, it, t, train_idx, val_idx, U_val = task
-        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q_means)
+        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q_means, sq)
 
     for f, it, row in run_cells(run, tasks, threads):
         fold_scores[it, :, f] = row

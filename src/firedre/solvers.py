@@ -144,9 +144,10 @@ def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, 
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
     K_pp, K_H = _p_grams(z_p, k, k_h)
-    target = gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / m
-    A = (K_pp @ K_pp) @ K_H + n * lam * np.eye(n)
-    v = solve_linear(A, K_pp @ target, "type15 system")
+    rhs = K_pp @ (gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / m)
+    A = _cubic_system(K_pp, K_H, n * lam)
+    del K_pp, K_H  # the solve then holds only A and LAPACK's copy of it
+    v = solve_linear(A, rhs, "type15 system")
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 
@@ -155,7 +156,7 @@ def solve_type1(z_p, z_q, k: KernelSpec, k_h: KernelSpec, lam):
     return solve_type15(z_p, z_q, k, k, k_h, lam)
 
 
-def solve_type1_path(z_p, z_q, k: KernelSpec, lams):
+def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     """Regularization path of solve_type1 when k_H equals k.
 
     With a single kernel, K_H = n K_pp, so one eigendecomposition
@@ -164,34 +165,30 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams):
         coef(lam) = Q diag(w / (w^3 + lam)) Q' K_pq 1,   scale "over_n".
 
     Returns one RatioEstimate per entry of lams; function values agree with
-    the per-lam direct solves.
+    the per-lam direct solves.  sq_pp and sq_pq, when given, are the squared
+    distances of z_p to z_p and to z_q (see gaussian_kernel_matrix), so a
+    caller that walks a bandwidth grid computes them once.
     """
-    lams = _check_lams(lams)
-    z_p = as_sample_matrix(z_p, "z_p")
-    z_q = as_sample_matrix(z_q, "z_q")
-    n, m = z_p.shape[0], z_q.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / m
-    return _same_kernel_path(z_p, K_pp, target, k, lams)
+    return solve_type15_path(z_p, z_q, k, k, lams, sq_pp=sq_pp, sq_pq=sq_pq)
 
 
-def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams):
+def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams, sq_pp=None, sq_pq=None):
     """Regularization path of solve_type15 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
-    target = gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / m
+    K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / n
+    target = gaussian_kernel_matrix(z_p, z_q, k_prime, sq=sq_pq).sum(axis=1) / m
     return _same_kernel_path(z_p, K_pp, target, k, lams)
 
 
-def solve_type2_path(z_p, q_values, k: KernelSpec, lams):
+def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
     """Regularization path of solve_type2 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     q = _check_q_values(q_values, z_p.shape[0])
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / z_p.shape[0]
+    K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / z_p.shape[0]
     return _same_kernel_path(z_p, K_pp, q, k, lams)
 
 
@@ -214,6 +211,22 @@ def _spectrum(K_pp):
     Q_L, R = np.linalg.qr(L.T)
     w, V = eigh_descending(R @ R.T)
     return w, Q_L @ V
+
+
+def _add_ridge(A, ridge):
+    """A + ridge * I, added to the diagonal in place; returns A.
+
+    Equal bit for bit to A + ridge * np.eye(n), because A, a product of
+    Gaussian Grams, holds no -0.0 (x + 0.0 is x for every other x), and
+    without the two n x n temporaries.
+    """
+    A[np.diag_indices_from(A)] += ridge
+    return A
+
+
+def _cubic_system(K_pp, K_H, ridge):
+    """(K_pp @ K_pp) @ K_H + ridge * I, written over K_pp, which the caller no longer needs."""
+    return _add_ridge(np.matmul(K_pp @ K_pp, K_H, out=K_pp), ridge)
 
 
 def _same_kernel_path(z_p, K_pp, target, k, lams):
@@ -246,9 +259,13 @@ def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):
     g = gram_bundle(z_p, z_q, k, k_h)
     n = g.K_pp.shape[0]
     m = g.K_qq.shape[0]
-    M = (gamma / n) * (g.K_pp @ g.K_pp) + ((1.0 - gamma) / m) * (g.K_qp.T @ g.K_qp)
-    A = M @ g.K_H + lam * np.eye(n)
     rhs = (gamma / n) * (g.K_pp @ g.K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (g.K_qp.T @ g.K_qq.sum(axis=1))
+    K_pp, K_qp, K_H = g.K_pp, g.K_qp, g.K_H
+    del g
+    M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
+    del K_qp
+    A = _add_ridge(np.matmul(M, K_H, out=K_pp), lam)
+    del K_pp, K_H, M
     v = solve_linear(A, rhs, "combined system")
     return RatioEstimate(centers=as_sample_matrix(z_p, "z_p"), v=v, kernel=k_h, scale="plain")
 
@@ -265,7 +282,9 @@ def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
     n, m = z_p.shape[0], z_q.shape[0]
     K_pp, K_H = _p_grams(z_p, k, k)
     target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / m
-    v = solve_linear(K_pp @ K_H + n * lam * np.eye(n), target, "rkhs_loss system")
+    A = _add_ridge(K_pp @ K_H, n * lam)
+    del K_pp, K_H
+    v = solve_linear(A, target, "rkhs_loss system")
     return RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain")
 
 
@@ -282,8 +301,10 @@ def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam):
     n = z_p.shape[0]
     q = _check_q_values(q_values, n)
     K_pp, K_H = _p_grams(z_p, k, k_h)
-    A = (K_pp @ K_pp) @ K_H + n * lam * np.eye(n)
-    v = solve_linear(A, K_pp @ q, "type2 system")
+    rhs = K_pp @ q
+    A = _cubic_system(K_pp, K_H, n * lam)
+    del K_pp, K_H
+    v = solve_linear(A, rhs, "type2 system")
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 

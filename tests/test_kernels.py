@@ -146,6 +146,45 @@ class TestSqDists:
         assert np.array_equal(kernels._sq_dists(A, B), full)
 
 
+class TestPrecomputedSqDists:
+    """gaussian_kernel_matrix(..., sq=D) builds the same Gram from given squared distances."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_plain_call_bitwise(self, d, normalized):
+        rng = np.random.default_rng(20 + d)
+        A, B = rand_points(rng, 37, d, 2.0), rand_points(rng, 29, d, 2.0)
+        spec = KernelSpec(t=0.9, normalized=normalized)
+        sq = kernels._sq_dists(A, B)
+        kept = sq.copy()
+        G = gaussian_kernel_matrix(A, B, spec, sq=sq)
+        assert np.array_equal(G, gaussian_kernel_matrix(A, B, spec))
+        assert np.array_equal(sq, kept)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_index_slices_of_a_larger_sample_bitwise(self, d):
+        # D[rows][:, cols] is Fortran-ordered; the Gram still comes out in C
+        # order, so its products add in the same order as the plain Gram's
+        rng = np.random.default_rng(30 + d)
+        X = rand_points(rng, 40, d, 2.0)
+        rows, cols = rng.permutation(40)[:13], np.sort(rng.permutation(40)[:27])
+        spec = KernelSpec(t=0.6, normalized=False)
+        sliced = kernels._sq_dists(X, X)[rows][:, cols]
+        assert not sliced.flags.c_contiguous
+        G = gaussian_kernel_matrix(X[rows], X[cols], spec, sq=sliced)
+        plain = gaussian_kernel_matrix(X[rows], X[cols], spec)
+        assert G.flags.c_contiguous
+        assert np.array_equal(G, plain)
+        v = rng.standard_normal(27)
+        assert np.array_equal(G @ v, plain @ v)
+
+    def test_wrong_shape_rejected(self):
+        rng = np.random.default_rng(40)
+        A, B = rand_points(rng, 5, 2), rand_points(rng, 4, 2)
+        with pytest.raises(ValueError, match="sq has shape"):
+            gaussian_kernel_matrix(A, B, KernelSpec(t=1.0), sq=kernels._sq_dists(B, A))
+
+
 class TestKernelErrors:
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_bad_bandwidth_rejected(self, t):

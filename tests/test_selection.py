@@ -322,9 +322,9 @@ class TestSharedValidationGram:
         builds, evaluations = [], []
         gram, evaluate = selection.gaussian_kernel_matrix, solvers.evaluate
 
-        def spy_gram(A, B, spec):
+        def spy_gram(A, B, spec, **kwargs):
             builds.append((A.shape[0], B.shape[0]))
-            return gram(A, B, spec)
+            return gram(A, B, spec, **kwargs)
 
         def spy_evaluate(*args, **kwargs):
             evaluations.append(1)
@@ -354,6 +354,101 @@ class TestSharedValidationGram:
         monkeypatch.undo()
         assert len(evaluations) == res.fold_scores.size
         assert np.array_equal(res.fold_scores, self.cv(type1).fold_scores)
+
+
+class TestDistanceRoute:
+    """fit_factory's path settings score every cell from one pair of distance matrices."""
+
+    GRID = ([0.3, 0.8, 2.0], [1e-4, 1e-6, 1e-8])
+
+    def cv(self, fit, threads=1, d=2, grid=GRID):
+        z_p, z_q = small_problem(13, n=30, m=36, d=d)
+        vs = make_validation_set("linear", d=d, count=5, seed=4)
+        return kfold_cv(z_p, z_q, fit, *grid, vs, folds=3, seed=2, threads=threads)
+
+    @pytest.mark.parametrize("setting", ["type1", "type15", "type2"])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fold_scores_match_plain_callback_bitwise(self, setting, normalized, threads):
+        fit = fit_factory(setting, t_prime_ratio=3.0, q_fn=gaussian_q, normalized=normalized)
+        routed = self.cv(fit, threads=threads)
+        plain = self.cv(lambda *args: fit(*args), threads=threads)
+        assert np.isfinite(routed.fold_scores).all()
+        assert np.array_equal(routed.fold_scores, plain.fold_scores)
+
+    def test_fold_scores_match_plain_callback_bitwise_d5(self):
+        fit = fit_factory("type1", normalized=False)
+        grid = ([0.5, 1.0, 2.0, 4.0, 8.0], LAMBDA_GRID)
+        routed = self.cv(fit, d=5, grid=grid)
+        assert np.array_equal(routed.fold_scores, self.cv(lambda *args: fit(*args), d=5, grid=grid).fold_scores)
+
+    def test_only_path_settings_have_the_entry(self):
+        for setting in ("type1", "type15", "type2"):
+            assert callable(fit_factory(setting, q_fn=gaussian_q).on_sq_dists)
+        for setting in ("combined", "rkhs_loss"):
+            assert not hasattr(fit_factory(setting, gamma=0.3), "on_sq_dists")
+
+    def spy_sq_dists(self, monkeypatch):
+        import firedre.kernels as kernels
+
+        calls = {"selection": [], "kernels": []}
+        sq_dists = kernels._sq_dists
+
+        def spy(where):
+            def counted(A, B):
+                calls[where].append((A.shape[0], B.shape[0]))
+                return sq_dists(A, B)
+
+            return counted
+
+        monkeypatch.setattr(selection, "_sq_dists", spy("selection"))
+        monkeypatch.setattr(kernels, "_sq_dists", spy("kernels"))
+        return calls
+
+    def test_distances_once_per_call_none_in_cells(self, monkeypatch):
+        calls = self.spy_sq_dists(monkeypatch)
+        self.cv(fit_factory("type1"), threads=2)
+        assert calls == {"selection": [(30, 30), (30, 36)], "kernels": []}
+
+    def test_plain_callback_computes_no_shared_distances(self, monkeypatch):
+        calls = self.spy_sq_dists(monkeypatch)
+        type1 = fit_factory("type1")
+        self.cv(lambda *args: type1(*args))
+        assert calls["selection"] == []
+        assert len(calls["kernels"]) == 3 * 3 * len(self.GRID[0])
+
+    def test_three_gram_builds_per_cell(self, monkeypatch):
+        builds = []
+
+        def spy(module):
+            gram = module.gaussian_kernel_matrix
+
+            def counted(A, B, spec, sq=None):
+                builds.append((A.shape[0], B.shape[0], sq is not None))
+                return gram(A, B, spec, sq=sq)
+
+            monkeypatch.setattr(module, "gaussian_kernel_matrix", counted)
+
+        spy(solvers)
+        spy(selection)
+        self.cv(fit_factory("type15"))
+        # 30 points in 3 folds of 10: per (fold, t) a 20 x 20, a 20 x 36 and a 10 x 20 Gram
+        per_cell = [(20, 20, True), (20, 36, True), (10, 20, True)]
+        assert builds == per_cell * (3 * len(self.GRID[0]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_routed_cells_see_one_blas_thread(self, caller_blas_threads, monkeypatch, threads):
+        seen = []
+        path = selection.solve_type1_path
+
+        def spy_path(*args, **kwargs):
+            seen.append((blas_thread_count(), kwargs["sq_pp"] is not None))
+            return path(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "solve_type1_path", spy_path)
+        self.cv(fit_factory("type1"), threads=threads)
+        assert seen == [(1, True)] * (3 * len(self.GRID[0]))
+        assert blas_thread_count() == caller_blas_threads
 
 
 class TestFitFactory:

@@ -183,6 +183,59 @@ class TestSharedGram:
         assert shapes.count((n, n)) == 2
 
 
+def direct_system_oracle(setting, z_p, z_q, k, k_h, lam, k_prime=None, q=None, gamma=None):
+    # v of each direct solver with A assembled densely, ridge term from np.eye
+    n, m = z_p.shape[0], z_q.shape[0]
+    K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
+    K_H = gaussian_kernel_matrix(z_p, z_p, k_h)
+    if setting == "rkhs_loss":
+        target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / m
+        return solve_linear(K_pp @ K_H + n * lam * np.eye(n), target)
+    if setting == "combined":
+        G_pq = gaussian_kernel_matrix(z_p, z_q, k)
+        K_pq, K_qp = G_pq / m, G_pq.T / n
+        K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
+        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
+        rhs = (gamma / n) * (K_pp @ K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
+        return solve_linear(M @ K_H + lam * np.eye(n), rhs)
+    if setting == "type2":
+        target = q
+    else:
+        target = gaussian_kernel_matrix(z_p, z_q, k_prime or k).sum(axis=1) / m
+    A = (K_pp @ K_pp) @ K_H + n * lam * np.eye(n)
+    return solve_linear(A, K_pp @ target)
+
+
+class TestDirectSystemOracle:
+    """The direct solvers add the ridge in place; the bits match the dense np.eye form."""
+
+    LAM = 3e-5
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize(
+        "setting, separate_k_h",
+        [(s, False) for s in ("type1", "type15", "type2", "rkhs_loss", "combined")]
+        + [(s, True) for s in ("type1", "type15", "type2", "combined")],
+    )
+    def test_bitwise_equal_to_dense_oracle(self, setting, separate_k_h, normalized):
+        z_p, z_q = instance(50, n=23, m=19, d=3)
+        k = KernelSpec(t=0.8, normalized=normalized)
+        k_h = KernelSpec(t=1.7, normalized=normalized) if separate_k_h else k
+        k_prime = KernelSpec(t=2.4, normalized=normalized)
+        q = np.random.default_rng(51).uniform(0.1, 1.0, z_p.shape[0])
+        expect = direct_system_oracle(
+            setting, z_p, z_q, k, k_h, self.LAM, k_prime=k_prime if setting == "type15" else None, q=q, gamma=0.4
+        )
+        got = {
+            "type1": lambda: solve_type1(z_p, z_q, k, k_h, self.LAM),
+            "type15": lambda: solve_type15(z_p, z_q, k, k_prime, k_h, self.LAM),
+            "type2": lambda: solve_type2(z_p, q, k, k_h, self.LAM),
+            "rkhs_loss": lambda: solve_rkhs_loss(z_p, z_q, k, self.LAM),
+            "combined": lambda: solve_combined(z_p, z_q, k, k_h, 0.4, self.LAM),
+        }[setting]()
+        assert np.array_equal(got.v, expect)
+
+
 class TestRegularizationPaths:
     def test_path_matches_direct(self):
         z_p, z_q = instance(6, n=40, m=30)
