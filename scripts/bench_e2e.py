@@ -1,7 +1,8 @@
 """Time end-to-end CLI runs at fixed, named sizes.
 
-Each run is the median over REPEATS calls of the runner `firedre <cmd>`
-calls after loading its config (no interpreter start-up):
+Each run is the median, with the interquartile range, over REPEATS calls
+of the runner `firedre <cmd>` calls after loading its config (no
+interpreter start-up):
 
 - c04_n1000_fire_t4: `simulate` of fire (type15) at n = 1000, m = 2000,
   eval_n = 2000, 20 repetitions, --threads 4 (the n = 1000 leg of the c04
@@ -33,13 +34,15 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-# timed calls per run
-REPEATS = 3
+# timed calls per run: on a 2-CPU host 3 calls let an unchanged run's
+# median move by 25% between records
+REPEATS = 7
 
 MIXTURE_1D = {"kind": "mixture", "weights": [0.5, 0.5], "components": [
     {"kind": "gaussian", "mean": [-2.0], "std": 1.0},
@@ -117,7 +120,8 @@ def timed(fn):
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
-    return {"median_s": sorted(times)[len(times) // 2], "times_s": times}, result
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": sorted(times)[len(times) // 2], "iqr_s": q3 - q1, "times_s": times}, result
 
 
 def run(work):
@@ -180,7 +184,7 @@ def main(argv=None):
         json.dump(data, fh, indent=2)
         fh.write("\n")
     for name, r in record["results"].items():
-        print(f"{args.label:>8} {name:>25}  {r['median_s']:8.2f} s")
+        print(f"{args.label:>8} {name:>25}  {r['median_s']:8.3f} s  IQR {r['iqr_s']:6.3f} s")
     return 0
 
 

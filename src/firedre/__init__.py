@@ -34,13 +34,8 @@ from .selection import (
     make_validation_set,
 )
 from .solvers import (
-    GramBundle,
     RatioEstimate,
-    TikhonovConfig,
-    empirical_objective,
     evaluate,
-    gram_bundle,
-    objective_gradient,
     solve_combined,
     solve_rkhs_loss,
     solve_spectral,

@@ -38,14 +38,7 @@ from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError
-from .selection import fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
-from .solvers import (
-    solve_combined,
-    solve_rkhs_loss,
-    solve_type1,
-    solve_type15,
-    solve_type2,
-)
+from .selection import SETTINGS, FitOptions, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
 SCHEMA_VERSION = 1
 
@@ -155,14 +148,8 @@ def _select_cell(cfg, z_p, z_q, q_fn, threads):
     z_p_cv = _cv_subset(z_p, cfg.cv.fraction, cfg.cv.max_points, cfg.seed, "cv-subset-p")
     z_q_cv = _cv_subset(z_q, cfg.cv.fraction, cfg.cv.max_points, cfg.seed, "cv-subset-q")
     validation = _validation_set(cfg, z_p_cv, t_grid, cfg.seed)
-    setting = cfg.solver.setting
-    fit = fit_factory(
-        setting,
-        gamma=cfg.solver.gamma,
-        t_prime_ratio=cfg.solver.t_prime_ratio,
-        q_fn=q_fn,
-        normalized=cfg.solver.normalized,
-    )
+    s = cfg.solver
+    fit = fit_factory(s.setting, gamma=s.gamma, t_prime_ratio=s.t_prime_ratio, q_fn=q_fn, normalized=s.normalized)
     cvres = kfold_cv(
         z_p_cv,
         z_q_cv,
@@ -178,25 +165,13 @@ def _select_cell(cfg, z_p, z_q, q_fn, threads):
 
 
 def _final_fit(cfg, z_p, z_q, q_fn, t, lam):
-    k = KernelSpec(t=float(t), normalized=cfg.solver.normalized)
-    s = cfg.solver.setting
-    if s == "type1":
-        return solve_type1(z_p, z_q, k, k, lam)
-    if s == "combined":
-        return solve_combined(z_p, z_q, k, k, cfg.solver.gamma, lam)
-    if s == "rkhs_loss":
-        return solve_rkhs_loss(z_p, z_q, k, lam)
-    if s == "type2":
-        return solve_type2(z_p, q_fn(z_p), k, k, lam)
-    if s == "type15":
-        k_prime = KernelSpec(t=float(t) * cfg.solver.t_prime_ratio, normalized=cfg.solver.normalized)
-        return solve_type15(z_p, z_q, k, k_prime, k, lam)
-    raise ConfigError(f"unknown solver setting {s!r}")
+    s = cfg.solver
+    return SETTINGS[s.setting].fit(z_p, z_q, t, lam, FitOptions(s.gamma, s.t_prime_ratio, q_fn, s.normalized))
 
 
 def _estimation_inputs(cfg):
     z_p, _ = _load_source(cfg.p, "p", cfg.seed)
-    if cfg.solver.setting == "type2":
+    if SETTINGS[cfg.solver.setting].reads_q_fn:
         q_fn = cfg.q_function.pdf
         if cfg.q_function.dim != z_p.shape[1]:
             raise ConfigError(f"q_function has dim {cfg.q_function.dim}, p-sample has dim {z_p.shape[1]}")
@@ -347,13 +322,9 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
     """
     oracle = true_ratio(cfg.p_density, cfg.q_density)
     lam_grid = np.asarray(cfg.grids.lam, dtype=np.float64)
-    fit = fit_factory(
-        cfg.solver.setting,
-        gamma=cfg.solver.gamma,
-        t_prime_ratio=cfg.solver.t_prime_ratio,
-        q_fn=cfg.q_density.pdf,
-        normalized=cfg.solver.normalized,
-    )
+    s = cfg.solver
+    fit = fit_factory(s.setting, gamma=s.gamma, t_prime_ratio=s.t_prime_ratio, q_fn=cfg.q_density.pdf,
+                      normalized=s.normalized)
 
     def one(task):
         n, rep = task

@@ -9,8 +9,7 @@ import json
 from dataclasses import dataclass, field
 
 from .baselines import GaussianDensity, MixtureDensity, UniformDensity
-from .selection import LAMBDA_GRID, VALIDATION_FAMILIES
-from .solvers import OBJECTIVE_SETTINGS
+from .selection import LAMBDA_GRID, SETTINGS, VALIDATION_FAMILIES
 
 
 class ConfigError(ValueError):
@@ -124,14 +123,12 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, d, name="solver"):
         d = _take(d, name, {"setting", "gamma", "t_prime_ratio", "normalized"})
-        setting = d.get("setting", "type1")
-        # "type1" is the squared loss under p ("type1_l2p" objective)
-        known = (set(OBJECTIVE_SETTINGS) - {"type1_l2p"}) | {"type1"}
-        if setting not in known:
-            raise ConfigError(f"{name}.setting must be one of {sorted(known)}, got {setting!r}")
+        setting = d.get("setting", cls.setting)
+        if setting not in SETTINGS:
+            raise ConfigError(f"{name}.setting must be one of {sorted(SETTINGS)}, got {setting!r}")
         gamma = _num(d, name, "gamma", low=0.0, high=1.0)
-        if setting == "combined" and gamma is None:
-            raise ConfigError(f"{name}: combined setting requires gamma in [0, 1]")
+        if SETTINGS[setting].needs_gamma and gamma is None:
+            raise ConfigError(f"{name}: {setting} setting requires gamma in [0, 1]")
         ratio = _num(d, name, "t_prime_ratio", default=2.0, low=1e-12)
         normalized = d.get("normalized", True)
         if not isinstance(normalized, bool):
@@ -256,17 +253,17 @@ class EstimateConfig:
         solver = SolverConfig.from_dict(d.get("solver", {}))
         q = d.get("q")
         q_function = d.get("q_function")
-        if solver.setting == "type2":
+        if SETTINGS[solver.setting].reads_q_fn:
             if q_function is None:
-                raise ConfigError("type2 needs config.q_function (an analytic density)")
+                raise ConfigError(f"{solver.setting} needs config.q_function (an analytic density)")
             if q is not None:
-                raise ConfigError("type2 takes q_function, not a q sample")
+                raise ConfigError(f"{solver.setting} takes q_function, not a q sample")
             q_function = density_from_dict(q_function, "q_function")
         else:
             if q is None:
                 raise ConfigError(f"setting {solver.setting!r} needs a q sample source")
             if q_function is not None:
-                raise ConfigError("q_function is only valid for the type2 setting")
+                raise ConfigError(f"q_function is only valid for settings that read it, not {solver.setting!r}")
         clip = d.get("clip_negative", False)
         if not isinstance(clip, bool):
             raise ConfigError("config.clip_negative must be a boolean")
@@ -409,8 +406,8 @@ class DownstreamConfig:
         if not isinstance(clip, bool):
             raise ConfigError("config.clip_weights must be a boolean")
         solver = SolverConfig.from_dict(d.get("solver", {}))
-        if solver.setting == "type2":
-            raise ConfigError("downstream ratio fitting needs a sampled q; type2 is not supported here")
+        if SETTINGS[solver.setting].reads_q_fn:
+            raise ConfigError(f"downstream ratio fitting needs a sampled q; {solver.setting} is not supported here")
         return cls(
             seed=_num(d, "config", "seed", default=0, integer=True, low=0),
             task=task,

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,11 @@ from .solvers import (
     RatioEstimate,
     solve_combined,
     solve_rkhs_loss,
+    solve_type1,
+    solve_type15,
     solve_type15_path,
     solve_type1_path,
+    solve_type2,
     solve_type2_path,
 )
 
@@ -35,9 +39,6 @@ VALIDATION_FAMILIES = ("linear", "halfspace", "kernel_combo", "kernel_indicator"
 # default ridge grid: 1e-5 down to 1e-10 by decades (literals, so the
 # values match what a config file spells out)
 LAMBDA_GRID = np.array([1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
-
-# fit_factory settings solved by a regularization path over Grams
-_PATH_SETTINGS = ("type1", "type15", "type2")
 
 
 @dataclass(eq=False)
@@ -166,44 +167,93 @@ def run_cells(fn, tasks, threads):
             return list(pool.map(fn, tasks))
 
 
+class FitOptions(NamedTuple):
+    """What a setting's fit reads besides the samples, t and lambda; k_H = k."""
+
+    gamma: float | None = None
+    t_prime_ratio: float = 2.0
+    q_fn: object = None
+    normalized: bool = True
+
+    def k(self, t):
+        return KernelSpec(t=float(t), normalized=self.normalized)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One loss and penalty choice of the Fredholm formulation.
+
+    ``fit(z_p, z_q, t, lam, opts)`` solves it at one lambda.  ``path(z_p, z_q,
+    t, lams, opts, sq_pp, sq_pq)``, if any, solves a lambda grid from one
+    spectrum, building the Grams from the squared distances when given.
+    ``reads_q_fn``: it reads opts.q_fn at z_p in place of a q-sample (and no
+    sq_pq).  Rows look the solvers up by name when called, so they reach a
+    rebound module attribute (the span tracer, a test spy).
+    """
+
+    fit: object
+    path: object = None
+    reads_q_fn: bool = False
+    needs_gamma: bool = False
+
+
+SETTINGS = {
+    "type1": Setting(
+        fit=lambda z_p, z_q, t, lam, o: solve_type1(z_p, z_q, o.k(t), o.k(t), lam),
+        path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type1_path(
+            z_p, z_q, o.k(t), lams, sq_pp=sq_pp, sq_pq=sq_pq
+        ),
+    ),
+    "type15": Setting(
+        fit=lambda z_p, z_q, t, lam, o: solve_type15(z_p, z_q, o.k(t), o.k(t * o.t_prime_ratio), o.k(t), lam),
+        path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type15_path(
+            z_p, z_q, o.k(t), o.k(t * o.t_prime_ratio), lams, sq_pp=sq_pp, sq_pq=sq_pq
+        ),
+    ),
+    "type2": Setting(
+        fit=lambda z_p, z_q, t, lam, o: solve_type2(z_p, o.q_fn(z_p), o.k(t), o.k(t), lam),
+        path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type2_path(
+            z_p, o.q_fn(z_p), o.k(t), lams, sq_pp=sq_pp
+        ),
+        reads_q_fn=True,
+    ),
+    "combined": Setting(
+        fit=lambda z_p, z_q, t, lam, o: solve_combined(z_p, z_q, o.k(t), o.k(t), o.gamma, lam), needs_gamma=True
+    ),
+    "rkhs_loss": Setting(fit=lambda z_p, z_q, t, lam, o: solve_rkhs_loss(z_p, z_q, o.k(t), lam)),
+}
+
+
 def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=True):
-    """Build a fit(z_p_train, z_q, t, lams) callback for kfold_cv.
+    """Build a fit(z_p_train, z_q, t, lams) callback for kfold_cv from SETTINGS[setting].
 
-    The callback returns one estimate per lam.  type1, type15 and type2 use
-    the shared-eigendecomposition path (loss kernel doubles as RKHS kernel);
-    combined and rkhs_loss solve each lam directly.  type2 needs q_fn, a
-    callable giving q values at arbitrary points.
+    The callback returns one estimate per lam, from the row's path where it
+    has one, else from one direct fit per lam.  q_fn, a callable giving q
+    values at arbitrary points, is required where the row reads it.
 
-    For the path settings the callback also has a Gram-level entry,
+    Path settings also get a Gram-level entry,
     ``fit.on_sq_dists(z_p_train, z_q, t, lams, sq_pp, sq_pq)``, which builds
     the Grams from the squared distances of z_p_train to itself and to z_q
     and returns the same estimates bit for bit; its estimates are centered
-    on z_p_train itself.  kfold_cv uses it to compute the distances once.
+    on z_p_train itself.  sq_pq may be None unless ``fit.reads_sq_pq``.
+    kfold_cv uses the entry to compute the distances once.
     """
-    if setting == "type2" and q_fn is None:
-        raise ValueError("type2 fitting needs q_fn")
+    row = SETTINGS.get(setting)
+    if row is None:
+        raise ValueError(f"unknown solver setting {setting!r}, expected one of {sorted(SETTINGS)}")
+    if row.reads_q_fn and q_fn is None:
+        raise ValueError(f"{setting} fitting needs q_fn")
+    if row.needs_gamma and gamma is None:
+        raise ValueError(f"{setting} fitting needs gamma")
+    opts = FitOptions(gamma, t_prime_ratio, q_fn, normalized)
+    if row.path is None:
+        return lambda z_p_train, z_q, t, lams: [row.fit(z_p_train, z_q, t, lam, opts) for lam in lams]
 
-    def path(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None):
-        k = KernelSpec(t=float(t), normalized=normalized)
-        if setting == "type1":
-            return solve_type1_path(z_p_train, z_q, k, lams, sq_pp=sq_pp, sq_pq=sq_pq)
-        if setting == "type2":
-            return solve_type2_path(z_p_train, q_fn(z_p_train), k, lams, sq_pp=sq_pp)
-        k_prime = KernelSpec(t=float(t) * t_prime_ratio, normalized=normalized)
-        return solve_type15_path(z_p_train, z_q, k, k_prime, lams, sq_pp=sq_pp, sq_pq=sq_pq)
+    def fit(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None):
+        return row.path(z_p_train, z_q, t, lams, opts, sq_pp, sq_pq)
 
-    def fit(z_p_train, z_q, t, lams):
-        if setting in _PATH_SETTINGS:
-            return path(z_p_train, z_q, t, lams)
-        k = KernelSpec(t=float(t), normalized=normalized)
-        if setting == "rkhs_loss":
-            return [solve_rkhs_loss(z_p_train, z_q, k, lam) for lam in lams]
-        if setting == "combined":
-            return [solve_combined(z_p_train, z_q, k, k, gamma, lam) for lam in lams]
-        raise ValueError(f"unknown solver setting {setting!r}")
-
-    if setting in _PATH_SETTINGS:
-        fit.on_sq_dists = path
+    fit.on_sq_dists = fit
+    fit.reads_sq_pq = not row.reads_q_fn
     return fit
 
 
@@ -238,13 +288,14 @@ def _values_at(estimates, X, sq=None):
     return out
 
 
-def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means, sq=None):
+def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q, sq=None):
     """Held-out J for one (fold, t) against every lam; failures give +inf.
 
-    ``sq`` = (D_pp, D_pq), the squared distances of z_p to z_p and to z_q,
-    sends the fit through fit.on_sq_dists and builds every Gram of the cell
-    from index slices of them.  np.take along each axis gives the slices in
-    C order, which gaussian_kernel_matrix reads without a transposing copy.
+    ``sq`` = (D_pp, D_pq), the squared distances of z_p to z_p and to z_q
+    (D_pq None when the fit reads no sq_pq), sends the fit through
+    fit.on_sq_dists and builds every Gram of the cell from index slices of
+    them.  np.take along each axis gives the slices in C order, which
+    gaussian_kernel_matrix reads without a transposing copy.
     """
     L = len(lams)
     out = np.full(L, np.inf)
@@ -254,9 +305,8 @@ def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means, s
             estimates = fit(z_train, z_q, t, lams)
         else:
             D_pp, D_pq = sq
-            estimates = fit.on_sq_dists(
-                z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), D_pq.take(train_idx, 0)
-            )
+            sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
+            estimates = fit.on_sq_dists(z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), sq_pq)
     except _CELL_ERRORS:
         return out
     val = z_p[val_idx]
@@ -264,8 +314,7 @@ def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q_means, s
     for j, f_val in enumerate(_values_at(estimates, val, sq_val)):
         if f_val is None or not np.all(np.isfinite(f_val)):
             continue
-        lhs = (U_val * f_val).sum(axis=1) / val.shape[0]
-        score = float(np.mean((lhs - U_q_means) ** 2))
+        score = j_score(f_val, U_val, U_q)
         if np.isfinite(score):
             out[j] = score
     return out
@@ -283,11 +332,11 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
 
     A Gaussian Gram sees the points only through their squared distances.
     When ``fit`` has a Gram-level entry (fit_factory's path settings), the
-    distances D_pp = D(z_p, z_p) and D_pq = D(z_p, z_q) are computed once per
-    call, n^2 + n m floats, and each cell builds its train x train,
-    train x q and validation x train Grams from index slices of them, which
-    are bitwise the distances of the subsets.  Any other callable is called
-    as fit(z_p_train, z_q, t, lams).
+    distances D_pp = D(z_p, z_p) and, when fit.reads_sq_pq, D_pq = D(z_p, z_q)
+    are computed once per call, n^2 + n m floats, and each cell builds its
+    train x train, train x q and validation x train Grams from index slices
+    of them, which are bitwise the distances of the subsets.  Any other
+    callable is called as fit(z_p_train, z_q, t, lams).
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -305,7 +354,6 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     fold_parts = np.array_split(perm, folds)
     all_idx = np.arange(n)
     U_q = validation.evaluate(z_q)
-    U_q_means = U_q.sum(axis=1) / z_q.shape[0]
 
     T, L = t_grid.size, lam_grid.size
     fold_scores = np.full((T, L, folds), np.inf)
@@ -316,11 +364,12 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
         for it, t in enumerate(t_grid):
             tasks.append((f, it, t, train_idx, val_idx, U_val))
 
-    sq = (_sq_dists(z_p, z_p), _sq_dists(z_p, z_q)) if hasattr(fit, "on_sq_dists") else None
+    routed = hasattr(fit, "on_sq_dists")
+    sq = (_sq_dists(z_p, z_p), _sq_dists(z_p, z_q) if fit.reads_sq_pq else None) if routed else None
 
     def run(task):
         f, it, t, train_idx, val_idx, U_val = task
-        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q_means, sq)
+        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q, sq)
 
     for f, it, row in run_cells(run, tasks, threads):
         fold_scores[it, :, f] = row

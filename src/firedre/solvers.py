@@ -23,26 +23,6 @@ import numpy as np
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
 from .linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear
 
-OBJECTIVE_SETTINGS = ("type1_l2p", "combined", "rkhs_loss", "type2", "type15")
-
-
-@dataclass(frozen=True)
-class TikhonovConfig:
-    """Solver family selector: which empirical loss and penalty weight."""
-
-    setting: str
-    lam: float
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.setting not in OBJECTIVE_SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}, expected one of {OBJECTIVE_SETTINGS}")
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if self.setting == "combined":
-            if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
-                raise ValueError(f"combined setting needs gamma in [0, 1], got {self.gamma}")
-
 
 @dataclass(eq=False)
 class RatioEstimate:
@@ -70,36 +50,11 @@ class RatioEstimate:
         return out
 
 
-@dataclass(eq=False)
-class GramBundle:
-    """Precomputed Gram matrices shared by objectives and gradients."""
-
-    K_pp: np.ndarray
-    K_H: np.ndarray
-    K_pq: np.ndarray | None = None
-    K_qp: np.ndarray | None = None
-    K_qq: np.ndarray | None = None
-
-
 def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec):
     """K_pp = k(z_p, z_p) / n and K_H = k_h(z_p, z_p); one Gram serves both when k_h == k."""
     G = gaussian_kernel_matrix(z_p, z_p, k)
     K_H = G if k_h == k else gaussian_kernel_matrix(z_p, z_p, k_h)
     return G / z_p.shape[0], K_H
-
-
-def gram_bundle(z_p, z_q, k: KernelSpec, k_h: KernelSpec):
-    """Build the Gram matrices for samples z_p, z_q (z_q may be None)."""
-    z_p = as_sample_matrix(z_p, "z_p")
-    n = z_p.shape[0]
-    K_pp, K_H = _p_grams(z_p, k, k_h)
-    if z_q is None:
-        return GramBundle(K_pp=K_pp, K_H=K_H)
-    z_q = as_sample_matrix(z_q, "z_q")
-    m = z_q.shape[0]
-    G_pq = gaussian_kernel_matrix(z_p, z_q, k)
-    K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
-    return GramBundle(K_pp=K_pp, K_H=K_H, K_pq=G_pq / m, K_qp=G_pq.T / n, K_qq=K_qq)
 
 
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
@@ -256,18 +211,21 @@ def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):
     _check_lam(lam)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    g = gram_bundle(z_p, z_q, k, k_h)
-    n = g.K_pp.shape[0]
-    m = g.K_qq.shape[0]
-    rhs = (gamma / n) * (g.K_pp @ g.K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (g.K_qp.T @ g.K_qq.sum(axis=1))
-    K_pp, K_qp, K_H = g.K_pp, g.K_qp, g.K_H
-    del g
+    z_p = as_sample_matrix(z_p, "z_p")
+    z_q = as_sample_matrix(z_q, "z_q")
+    n, m = z_p.shape[0], z_q.shape[0]
+    K_pp, K_H = _p_grams(z_p, k, k_h)
+    G_pq = gaussian_kernel_matrix(z_p, z_q, k)
+    K_qp = G_pq.T / n
+    K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
+    rhs = (gamma / n) * (K_pp @ (G_pq / m).sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
+    del G_pq, K_qq
     M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
     del K_qp
     A = _add_ridge(np.matmul(M, K_H, out=K_pp), lam)
     del K_pp, K_H, M
     v = solve_linear(A, rhs, "combined system")
-    return RatioEstimate(centers=as_sample_matrix(z_p, "z_p"), v=v, kernel=k_h, scale="plain")
+    return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 
 def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
@@ -350,62 +308,3 @@ def solve_spectral(z_p, target, k: KernelSpec, cutoff):
     lead = Q[:, :cutoff]
     coef = lead @ ((lead.T @ target) / w[:cutoff] ** 2)
     return RatioEstimate(centers=z_p, v=coef, kernel=k, scale="over_n")
-
-
-# === Empirical objectives and gradients ===
-
-
-def _objective_pieces(setting, v, grams: GramBundle, gamma, target):
-    K_H = grams.K_H
-    h = K_H @ v
-    if setting in ("type1_l2p", "type2", "type15"):
-        if target is None:
-            if setting != "type1_l2p":
-                raise ValueError(f"setting {setting!r} needs an explicit target vector")
-            target = grams.K_pq.sum(axis=1)
-        r = grams.K_pp @ h - target
-        return np.mean(r ** 2), h, (r,)
-    if setting == "combined":
-        if gamma is None or not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"combined setting needs gamma in [0, 1], got {gamma}")
-        r_p = grams.K_pp @ h - grams.K_pq.sum(axis=1)
-        r_q = grams.K_qp @ h - grams.K_qq.sum(axis=1)
-        return gamma * np.mean(r_p ** 2) + (1.0 - gamma) * np.mean(r_q ** 2), h, (r_p, r_q)
-    if setting == "rkhs_loss":
-        n = grams.K_pp.shape[0]
-        m = grams.K_qq.shape[0]
-        b = grams.K_pq.sum(axis=1)
-        loss = h @ (grams.K_pp @ h) / n - 2.0 * (h @ b) / n + grams.K_qq.sum() / m
-        return loss, h, (b,)
-    raise ValueError(f"unknown setting {setting!r}, expected one of {OBJECTIVE_SETTINGS}")
-
-
-def empirical_objective(setting, v, grams: GramBundle, lam, gamma=None, target=None):
-    """Value of the regularized empirical objective a solver minimizes.
-
-    Settings: "type1_l2p" (loss (1/n)||K_pp K_H v - K_pq 1||^2), "type2" /
-    "type15" (same loss with an explicit target vector), "combined"
-    (gamma-weighted p and q losses), "rkhs_loss" (RKHS-norm fit computed via
-    Gram expansions, nonnegative by construction).  All settings add
-    lam * v' K_H v.
-    """
-    loss, h, _ = _objective_pieces(setting, np.asarray(v, dtype=np.float64), grams, gamma, target)
-    return float(loss + lam * (v @ h))
-
-
-def objective_gradient(setting, v, grams: GramBundle, lam, gamma=None, target=None):
-    """Gradient of empirical_objective in v; zero at the solver solutions."""
-    v = np.asarray(v, dtype=np.float64)
-    loss, h, res = _objective_pieces(setting, v, grams, gamma, target)
-    K_H = grams.K_H
-    n = grams.K_pp.shape[0]
-    if setting in ("type1_l2p", "type2", "type15"):
-        (r,) = res
-        return (2.0 / n) * (K_H @ (grams.K_pp @ r)) + 2.0 * lam * h
-    if setting == "combined":
-        r_p, r_q = res
-        m = grams.K_qq.shape[0]
-        pull = (gamma / n) * (grams.K_pp @ r_p) + ((1.0 - gamma) / m) * (grams.K_qp.T @ r_q)
-        return 2.0 * K_H @ pull + 2.0 * lam * h
-    (b,) = res
-    return (2.0 / n) * (K_H @ (grams.K_pp @ h - b)) + 2.0 * lam * h

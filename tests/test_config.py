@@ -17,6 +17,7 @@ from firedre.config import (
     density_to_dict,
     load_config,
 )
+from firedre.selection import SETTINGS
 
 GAUSS = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
 
@@ -96,6 +97,18 @@ class TestSolverAndGrids:
             SolverConfig.from_dict({"setting": "combined"})
         with pytest.raises(ConfigError, match="gamma"):
             SolverConfig.from_dict({"setting": "combined", "gamma": 1.5})
+
+    def test_solver_settings_are_the_table_keys(self):
+        for s, row in SETTINGS.items():
+            solver = {"setting": s, "gamma": 0.5} if row.needs_gamma else {"setting": s}
+            assert SolverConfig.from_dict(solver).setting == s
+        for s in ("type1_l2p", "mystery", "TYPE1", ""):
+            with pytest.raises(ConfigError, match="setting must be one of") as err:
+                SolverConfig.from_dict({"setting": s})
+            assert str(sorted(SETTINGS)) in str(err.value)
+        for s in (s for s, row in SETTINGS.items() if row.needs_gamma):
+            with pytest.raises(ConfigError, match=f"{s} setting requires gamma"):
+                SolverConfig.from_dict({"setting": s})
 
     def test_solver_normalized_flag(self):
         assert SolverConfig.from_dict({}).normalized is True
@@ -210,6 +223,15 @@ class TestDownstreamConfig:
     def test_type2_rejected(self):
         with pytest.raises(ConfigError, match="type2"):
             DownstreamConfig.from_dict(self.base(solver={"setting": "type2"}))
+
+    def test_every_q_fn_setting_rejected(self):
+        for s, row in SETTINGS.items():
+            solver = {"setting": s, "gamma": 0.5} if row.needs_gamma else {"setting": s}
+            if row.reads_q_fn:
+                with pytest.raises(ConfigError, match=f"sampled q; {s} is not supported"):
+                    DownstreamConfig.from_dict(self.base(solver=solver))
+            else:
+                assert DownstreamConfig.from_dict(self.base(solver=solver)).solver.setting == s
 
     def test_train_sizes(self):
         cfg = DownstreamConfig.from_dict(self.base(train_sizes=[10, 20]))

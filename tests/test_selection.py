@@ -7,12 +7,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import firedre.cli as cli
 import firedre.selection as selection
 import firedre.solvers as solvers
+from firedre.config import SolverConfig
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, blas_thread_count, blas_threads
 from firedre.selection import (
     LAMBDA_GRID,
+    SETTINGS,
     VALIDATION_FAMILIES,
     fit_factory,
     j_score,
@@ -21,7 +24,16 @@ from firedre.selection import (
     run_cells,
     worker_count,
 )
-from firedre.solvers import solve_type1, solve_type15
+from firedre.solvers import (
+    solve_combined,
+    solve_rkhs_loss,
+    solve_type1,
+    solve_type15,
+    solve_type15_path,
+    solve_type1_path,
+    solve_type2,
+    solve_type2_path,
+)
 
 
 class ConstantEstimate:
@@ -410,6 +422,14 @@ class TestDistanceRoute:
         self.cv(fit_factory("type1"), threads=2)
         assert calls == {"selection": [(30, 30), (30, 36)], "kernels": []}
 
+    @pytest.mark.parametrize("setting, distances", [("type15", [(30, 30), (30, 36)]), ("type2", [(30, 30)])])
+    def test_d_pq_only_for_settings_that_read_it(self, monkeypatch, setting, distances):
+        calls = self.spy_sq_dists(monkeypatch)
+        fit = fit_factory(setting, q_fn=gaussian_q)
+        assert fit.reads_sq_pq == (len(distances) == 2)
+        self.cv(fit)
+        assert calls == {"selection": distances, "kernels": []}
+
     def test_plain_callback_computes_no_shared_distances(self, monkeypatch):
         calls = self.spy_sq_dists(monkeypatch)
         type1 = fit_factory("type1")
@@ -488,12 +508,95 @@ class TestFitFactory:
         assert len(ests) == 1
 
     def test_unknown_setting(self):
-        fit = fit_factory("mystery")
         with pytest.raises(ValueError, match="setting"):
+            fit = fit_factory("mystery")
             fit(*small_problem(11), 1.0, np.array([1e-5]))
 
     def test_lambda_grid_constants(self):
         assert np.allclose(LAMBDA_GRID, [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10], rtol=1e-15)
+
+
+def today_calls(setting, z_p, z_q, t, normalized, gamma=0.3, t_prime_ratio=3.0):
+    """(direct(lam), path(lams) or None): the solver calls each setting stands for."""
+    k = KernelSpec(t=t, normalized=normalized)
+    k_prime = KernelSpec(t=t * t_prime_ratio, normalized=normalized)
+    q = gaussian_q(z_p)
+    direct = {
+        "type1": lambda lam: solve_type1(z_p, z_q, k, k, lam),
+        "type15": lambda lam: solve_type15(z_p, z_q, k, k_prime, k, lam),
+        "type2": lambda lam: solve_type2(z_p, q, k, k, lam),
+        "combined": lambda lam: solve_combined(z_p, z_q, k, k, gamma, lam),
+        "rkhs_loss": lambda lam: solve_rkhs_loss(z_p, z_q, k, lam),
+    }[setting]
+    path = {
+        "type1": lambda lams: solve_type1_path(z_p, z_q, k, lams),
+        "type15": lambda lams: solve_type15_path(z_p, z_q, k, k_prime, lams),
+        "type2": lambda lams: solve_type2_path(z_p, q, k, lams),
+    }.get(setting)
+    return direct, path
+
+
+class TestSettingsTable:
+    """fit_factory and the CLI's final fit read one table of settings."""
+
+    T, LAMS = 0.7, np.array([1e-4, 1e-6, 1e-8])
+
+    def final_fit(self, setting, z_p, z_q, lam, normalized):
+        cfg = dataclasses.replace(cli.EstimateConfig(), solver=SolverConfig(setting, 0.3, 3.0, normalized))
+        return cli._final_fit(cfg, z_p, z_q, gaussian_q, self.T, lam)
+
+    def test_rows(self):
+        assert sorted(SETTINGS) == ["combined", "rkhs_loss", "type1", "type15", "type2"]
+        assert {s for s, row in SETTINGS.items() if row.path is not None} == {"type1", "type15", "type2"}
+        assert [s for s, row in SETTINGS.items() if row.reads_q_fn] == ["type2"]
+        assert [s for s, row in SETTINGS.items() if row.needs_gamma] == ["combined"]
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_bitwise_equal_to_direct_and_path_calls(self, setting, normalized):
+        z_p, z_q = small_problem(14, n=26, m=31)
+        direct, path = today_calls(setting, z_p, z_q, self.T, normalized)
+        fit = fit_factory(setting, gamma=0.3, t_prime_ratio=3.0, q_fn=gaussian_q, normalized=normalized)
+        expect = path(self.LAMS) if path is not None else [direct(lam) for lam in self.LAMS]
+        got = fit(z_p, z_q, self.T, self.LAMS)
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+        for lam in self.LAMS:
+            a, b = self.final_fit(setting, z_p, z_q, lam, normalized), direct(lam)
+            assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_rebound_solvers_are_reached(self, monkeypatch, setting):
+        # rebind every firedre module's name for each solver, as the span tracer does
+        reached = []
+        names = ["solve_type1", "solve_type15", "solve_type2", "solve_combined", "solve_rkhs_loss",
+                 "solve_type1_path", "solve_type15_path", "solve_type2_path"]
+        modules = [m for name, m in sys.modules.items() if name == "firedre" or name.startswith("firedre.")]
+        for name in names:
+            original = getattr(solvers, name)
+
+            def spy(*args, _name=name, _fn=original, **kwargs):
+                reached.append(_name)
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, spy)
+        z_p, z_q = small_problem(15)
+        row = SETTINGS[setting]
+        fit_factory(setting, gamma=0.3, q_fn=gaussian_q)(z_p, z_q, self.T, self.LAMS[:1])
+        assert reached[0] == f"solve_{setting}" + ("_path" if row.path is not None else "")
+        reached.clear()
+        self.final_fit(setting, z_p, z_q, 1e-5, True)
+        assert reached[0] == f"solve_{setting}"
+
+    def test_unknown_or_incomplete_setting_raises_when_built(self):
+        with pytest.raises(ValueError, match="mystery"):
+            fit_factory("mystery")
+        with pytest.raises(ValueError, match="gamma"):
+            fit_factory("combined")
 
 
 class TestWorkerCount:

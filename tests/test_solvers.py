@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,7 @@ from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, so
 from firedre.selection import LAMBDA_GRID
 from firedre.solvers import (
     RatioEstimate,
-    TikhonovConfig,
-    empirical_objective,
     evaluate,
-    gram_bundle,
-    objective_gradient,
     solve_combined,
     solve_rkhs_loss,
     solve_spectral,
@@ -293,6 +291,84 @@ class TestRegularizationPaths:
         assert np.max(np.abs(est.evaluate(z_p))) < 1e-6
 
 
+# === oracle: the empirical objectives the direct solvers minimize ===
+
+
+@dataclass(eq=False)
+class GramBundle:
+    """The Gram matrices of the objectives, in the conventions of firedre.solvers."""
+
+    K_pp: np.ndarray
+    K_H: np.ndarray
+    K_pq: np.ndarray
+    K_qp: np.ndarray
+    K_qq: np.ndarray
+
+
+def gram_bundle(z_p, z_q, k, k_h):
+    n, m = z_p.shape[0], z_q.shape[0]
+    K_pp, K_H = solvers._p_grams(z_p, k, k_h)
+    G_pq = gaussian_kernel_matrix(z_p, z_q, k)
+    K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
+    return GramBundle(K_pp=K_pp, K_H=K_H, K_pq=G_pq / m, K_qp=G_pq.T / n, K_qq=K_qq)
+
+
+def _objective_pieces(setting, v, grams: GramBundle, gamma, target):
+    K_H = grams.K_H
+    h = K_H @ v
+    if setting in ("type1_l2p", "type2", "type15"):
+        if target is None:
+            if setting != "type1_l2p":
+                raise ValueError(f"setting {setting!r} needs an explicit target vector")
+            target = grams.K_pq.sum(axis=1)
+        r = grams.K_pp @ h - target
+        return np.mean(r ** 2), h, (r,)
+    if setting == "combined":
+        if gamma is None or not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"combined setting needs gamma in [0, 1], got {gamma}")
+        r_p = grams.K_pp @ h - grams.K_pq.sum(axis=1)
+        r_q = grams.K_qp @ h - grams.K_qq.sum(axis=1)
+        return gamma * np.mean(r_p ** 2) + (1.0 - gamma) * np.mean(r_q ** 2), h, (r_p, r_q)
+    if setting == "rkhs_loss":
+        n = grams.K_pp.shape[0]
+        m = grams.K_qq.shape[0]
+        b = grams.K_pq.sum(axis=1)
+        loss = h @ (grams.K_pp @ h) / n - 2.0 * (h @ b) / n + grams.K_qq.sum() / m
+        return loss, h, (b,)
+    raise ValueError(f"unknown setting {setting!r}")
+
+
+def empirical_objective(setting, v, grams: GramBundle, lam, gamma=None, target=None):
+    """Value of the regularized empirical objective a solver minimizes.
+
+    Settings: "type1_l2p" (loss (1/n)||K_pp K_H v - K_pq 1||^2), "type2" /
+    "type15" (same loss with an explicit target vector), "combined"
+    (gamma-weighted p and q losses), "rkhs_loss" (RKHS-norm fit computed via
+    Gram expansions, nonnegative by construction).  All settings add
+    lam * v' K_H v.
+    """
+    loss, h, _ = _objective_pieces(setting, np.asarray(v, dtype=np.float64), grams, gamma, target)
+    return float(loss + lam * (v @ h))
+
+
+def objective_gradient(setting, v, grams: GramBundle, lam, gamma=None, target=None):
+    """Gradient of empirical_objective in v; zero at the solver solutions."""
+    v = np.asarray(v, dtype=np.float64)
+    loss, h, res = _objective_pieces(setting, v, grams, gamma, target)
+    K_H = grams.K_H
+    n = grams.K_pp.shape[0]
+    if setting in ("type1_l2p", "type2", "type15"):
+        (r,) = res
+        return (2.0 / n) * (K_H @ (grams.K_pp @ r)) + 2.0 * lam * h
+    if setting == "combined":
+        r_p, r_q = res
+        m = grams.K_qq.shape[0]
+        pull = (gamma / n) * (grams.K_pp @ r_p) + ((1.0 - gamma) / m) * (grams.K_qp.T @ r_q)
+        return 2.0 * K_H @ pull + 2.0 * lam * h
+    (b,) = res
+    return (2.0 / n) * (K_H @ (grams.K_pp @ h - b)) + 2.0 * lam * h
+
+
 def assemble_quadratic(setting, grams, lam, gamma=None, target=None):
     """Independent quadratic form J(v) = v'Hv - 2 b'v + c for each objective."""
     K_H, K_pp = grams.K_H, grams.K_pp
@@ -533,15 +609,6 @@ class TestEvaluateAndValidation:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             RatioEstimate(centers=np.zeros((1, 1)), v=np.zeros(1), kernel=KernelSpec(t=1.0), scale="raw")
-
-    def test_tikhonov_config_validation(self):
-        with pytest.raises(ValueError):
-            TikhonovConfig(setting="nope", lam=1e-3)
-        with pytest.raises(ValueError):
-            TikhonovConfig(setting="type1_l2p", lam=0.0)
-        with pytest.raises(ValueError):
-            TikhonovConfig(setting="combined", lam=1e-3, gamma=None)
-        assert TikhonovConfig(setting="combined", lam=1e-3, gamma=0.5).gamma == 0.5
 
 
 class TestSolverErrors:
