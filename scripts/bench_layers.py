@@ -15,6 +15,20 @@ d = 1 uses a two-component Gaussian mixture and the normalized kernel at
 t = 0.4, where K_pp is numerically low rank; d = 5 uses standard normal
 points and the unnormalized kernel at t = 1, where it is full rank.
 
+For each LSIF size (n p-points and the first n of 2n q-points, drawn as
+above, at bandwidth t) it records, over the six-value lambda grid:
+
+- lsif_ms: `baselines.lsif_unconstrained`, as the build ships it (a
+  low-rank factor of H where the build has the engine), with `lsif_rank`,
+  the rank of that factor, or null when the build has no engine or the
+  factor gives up
+- lsif_dense_ms: the same call with the engine switched off, so every
+  lambda takes the dense m x m solve (equal to lsif_ms on builds without
+  the engine)
+
+At d = 1 these are the p- and q-densities of the paper's dataset 1 (LSIF's
+kernel is always normalized).
+
 For each CV size it also records, as kfold_cv_ms, the median over REPEATS
 calls of `selection.kfold_cv` with `fit_factory("type1")` over the ten-value
 `bandwidth_grid` of the p-points, the six-value lambda grid and 5 folds,
@@ -61,6 +75,13 @@ SIZES = (
 # timed calls per size and function
 REPEATS = 5
 LAMS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+# (name, n = m, d, t) of the LSIF layer
+LSIF_SIZES = (
+    ("lsif_n300_d1", 300, 1, 0.5),
+    ("lsif_n1000_d1", 1000, 1, 0.5),
+    ("lsif_n300_d5", 300, 5, 1.0),
+    ("lsif_n1000_d5", 1000, 5, 1.0),
+)
 # (name, n p-points, m q-points, d, normalized, validation functions)
 CV_SIZES = (
     ("cv_shift5d", 400, 400, 5, False, 20),
@@ -94,7 +115,7 @@ def cv_samples(rng, n, m, d):
 
 
 def run():
-    from firedre import kernels, linalg, selection, solvers
+    from firedre import baselines, kernels, linalg, selection, solvers
 
     rng = np.random.default_rng(0)
     lams = np.asarray(LAMS)
@@ -121,6 +142,30 @@ def run():
                     row["path_dense_ms"] = median_ms(path)
             else:
                 row["path_dense_ms"] = row["path_ms"]
+            results[name] = row
+        for name, n, d, t in LSIF_SIZES:
+            z_p, z_q = samples(rng, n, d)
+            z_q = z_q[:n]
+
+            def lsif():
+                return baselines.lsif_unconstrained(z_p, z_q, t, lams)
+
+            row = {"n": n, "m": n, "d": d, "t": t, "lsif_ms": median_ms(lsif), "lsif_rank": None}
+            if hasattr(baselines, "pivoted_cholesky"):
+                factors = []
+
+                def factor(K, tol, cap):
+                    factors.append(linalg.pivoted_cholesky(K, tol, cap))
+                    return factors[-1]
+
+                with mock.patch.object(baselines, "pivoted_cholesky", factor):
+                    lsif()
+                if factors[0] is not None:
+                    row["lsif_rank"] = factors[0].shape[0]
+                with mock.patch.object(baselines, "pivoted_cholesky", return_value=None):
+                    row["lsif_dense_ms"] = median_ms(lsif)
+            else:
+                row["lsif_dense_ms"] = row["lsif_ms"]
             results[name] = row
         rng = np.random.default_rng(1)
         for name, n, m, d, normalized, count in CV_SIZES:
@@ -167,6 +212,10 @@ def main(argv=None):
         json.dump(data, fh, indent=2)
         fh.write("\n")
     for name, r in record["results"].items():
+        if "lsif_ms" in r:
+            print(f"{args.label:>8} {name:>14}  lsif {r['lsif_ms']:9.2f} ms (rank {r['lsif_rank']})"
+                  f"  dense lsif {r['lsif_dense_ms']:9.2f} ms")
+            continue
         if "kfold_cv_ms" in r:
             print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")
             continue

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde
-from .linalg import NumericalError, solve_linear
+from .linalg import RANK_TOL, NumericalError, pivoted_cholesky, solve_linear
+from .solvers import _check_lams
 
 # === analytic densities ===
 
@@ -173,33 +174,82 @@ def lsif_unconstrained(z_p, z_q, t, lam):
     (H + lam I) alpha = h with H_ll' = (1/n) sum_i k_t(x'_l, x_i) k_t(x'_l', x_i)
     and h_l = (1/m) sum_j k_t(x'_l, x'_j).
 
-    ``lam`` may also be a 1-d sequence: H and h, which do not depend on lam,
-    are then built once and the result is a list with one LsifRatio per lam,
-    None where that lam's solve fails (for a single lam it raises
-    NumericalError).
+    ``lam`` may also be a non-empty 1-d sequence: H and h, which do not
+    depend on lam, are then built once and the result is a list with one
+    LsifRatio per lam, None where that lam's solve fails (for a single lam it
+    raises NumericalError).
+
+    When a pivoted Cholesky factor H ~ L'L of rank r <= m // 3 exists (the
+    H of low-dimensional data), each lam is solved by _low_rank_solve; a lam
+    it does not solve, and every lam when the factor gives up, takes the
+    dense solve of H + lam I.
     """
     single = np.ndim(lam) == 0
-    lams = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if lams.ndim != 1 or not np.all(np.isfinite(lams) & (lams > 0)):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    lams = _check_lams(np.atleast_1d(lam))
     k = KernelSpec(t=float(t))
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
     Phi = gaussian_kernel_matrix(z_q, z_p, k)  # (m, n)
     H = (Phi @ Phi.T) / n
+    del Phi  # the solves read only H and h
     h = gaussian_kernel_matrix(z_q, z_q, k).mean(axis=1)
+    L = pivoted_cholesky(H, RANK_TOL, m // 3)
+    if L is not None:
+        core = L @ L.T
+        norms = (np.linalg.norm(H, np.inf), np.linalg.norm(h, np.inf))
     fits = []
     for one in lams:
-        try:
-            alpha = solve_linear(H + one * np.eye(m), h, "lsif system")
-        except NumericalError:
-            if single:
-                raise
-            fits.append(None)
-            continue
+        alpha = None if L is None else _low_rank_solve(H, h, L, core, norms, one)
+        if alpha is None:
+            try:
+                alpha = solve_linear(H + one * np.eye(m), h, "lsif system")
+            except NumericalError:
+                if single:
+                    raise
+                fits.append(None)
+                continue
         fits.append(LsifRatio(centers=z_q, alpha=alpha, kernel=k))
     return fits[0] if single else fits
+
+
+# refinement steps a low-rank LSIF solve may take before the dense solve takes over
+_REFINE_STEPS = 3
+
+
+def _low_rank_solve(H, h, L, core, norms, lam):
+    """alpha with (H + lam I) alpha = h, from H ~ L'L, or None.
+
+    With core = L L' (r x r), the Woodbury identity solves the factored
+    system in O(r m) per right-hand side:
+
+        (L'L + lam I)^{-1} b = (b - L' (lam I + core)^{-1} L b) / lam.
+
+    That alone can miss the full system by far more than a dense LU would at
+    small lam, so each step refines alpha against the full H: the residual
+    res = h - (H + lam I) alpha is solved the same way and added.  alpha is
+    returned once ||res||_inf <= eps ((||H||_inf + lam) ||alpha||_inf + ||h||_inf),
+    the backward error a dense LU reaches, with norms = (||H||_inf, ||h||_inf);
+    None when _REFINE_STEPS steps do not get there, or the r x r solve fails.
+    """
+    H_inf, h_inf = norms
+    eps = np.finfo(np.float64).eps
+    shifted = core + lam * np.eye(core.shape[0])
+
+    def woodbury(b):
+        return (b - L.T @ solve_linear(shifted, L @ b, "lsif low-rank core")) / lam
+
+    try:
+        alpha = woodbury(h)
+        for step in range(_REFINE_STEPS + 1):
+            res = h - (H @ alpha + lam * alpha)
+            if np.linalg.norm(res, np.inf) <= eps * ((H_inf + lam) * np.linalg.norm(alpha, np.inf) + h_inf):
+                return alpha
+            if step < _REFINE_STEPS:
+                alpha = alpha + woodbury(res)
+    except NumericalError:
+        pass
+    return None
 
 
 # === ground truth ===

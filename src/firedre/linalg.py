@@ -40,6 +40,9 @@ def eigh_descending(S):
 
 # pivots between two looks at how fast the residual trace falls
 _CHECK = 8
+# residual-trace tolerance at which the spectral engines take a pivoted
+# Cholesky factor of a Gaussian Gram as the Gram itself
+RANK_TOL = 1e-14
 
 
 def pivoted_cholesky(K, tol, cap):

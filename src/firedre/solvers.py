@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
-from .linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear
+from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear
 
 
 @dataclass(eq=False)
@@ -147,20 +147,16 @@ def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
     return _same_kernel_path(z_p, K_pp, q, k, lams)
 
 
-# residual-trace tolerance of the pivoted Cholesky factor of K_pp
-_RANK_TOL = 1e-14
-
-
 def _spectrum(K_pp):
     """(w, Q) with K_pp ~ Q diag(w) Q', of rank r from a pivoted Cholesky factor.
 
     The Gaussian K_pp of low-dimensional data is numerically low rank: with
-    K_pp ~ L'L to a residual trace of _RANK_TOL * trace(K_pp), a thin QR
+    K_pp ~ L'L to a residual trace of RANK_TOL * trace(K_pp), a thin QR
     L' = Q_L R and the r x r eigendecomposition R R' = V diag(w) V' give
     Q = Q_L V.  Up to r = n // 3 that costs less than the dense
     eigendecomposition, which is used past it, so K_pp alone decides the path.
     """
-    L = pivoted_cholesky(K_pp, _RANK_TOL, K_pp.shape[0] // 3)
+    L = pivoted_cholesky(K_pp, RANK_TOL, K_pp.shape[0] // 3)
     if L is None:
         return eigh_descending(K_pp)
     Q_L, R = np.linalg.qr(L.T)

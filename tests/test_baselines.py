@@ -13,7 +13,7 @@ from firedre.baselines import (
     tikde_epsilon_grid,
     true_ratio,
 )
-from firedre.kernels import KernelSpec, gaussian_kernel_matrix, kde
+from firedre.kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix, kde
 from firedre.linalg import NumericalError
 
 
@@ -227,6 +227,120 @@ class TestLsif:
             lsif_unconstrained(z, z, t=1.0, lam=[1e-3, -1.0])
         with pytest.raises(ValueError):
             lsif_unconstrained(z, np.zeros((0, 1)), t=1.0, lam=1e-3)
+
+
+def dense_lsif_alphas(z_p, z_q, t, lams):
+    """alpha of (H + lam I) alpha = h per lam, each by one dense LU, as LSIF solves it without a low-rank factor."""
+    k = KernelSpec(t=float(t))
+    Phi = gaussian_kernel_matrix(z_q, z_p, k)
+    H = (Phi @ Phi.T) / z_p.shape[0]
+    h = gaussian_kernel_matrix(z_q, z_q, k).mean(axis=1)
+    return [np.linalg.solve(H + lam * np.eye(z_q.shape[0]), h) for lam in lams]
+
+
+SIM_LAMS = 10.0 ** -np.arange(5, 11)  # the default lambda grid, 1e-5 ... 1e-10
+
+
+@pytest.fixture(scope="module")
+def sim_1d():
+    """Dataset 1 at simulate-1d's sizes: n = m = 300 and 2000 evaluation points from q."""
+    p, q = dataset1()
+    rng = np.random.default_rng(0)
+    return p.sample(300, rng), q.sample(300, rng), q.sample(2000, rng)
+
+
+class TestLsifLowRank:
+    def test_matches_dense_oracle_on_simulate_grid(self, sim_1d):
+        z_p, z_q, X = sim_1d
+        for t in bandwidth_grid(z_p)[1]:
+            fits = lsif_unconstrained(z_p, z_q, t, SIM_LAMS)
+            G = gaussian_kernel_matrix(X, z_q, KernelSpec(t=float(t)))
+            for lam, est, alpha in zip(SIM_LAMS, fits, dense_lsif_alphas(z_p, z_q, t, SIM_LAMS)):
+                ref = G @ alpha
+                err = np.linalg.norm(G @ est.alpha - ref) / np.linalg.norm(ref)
+                assert err < 1e-7, (t, lam, err)
+
+    def test_one_d_grid_makes_no_m_by_m_solve(self, sim_1d, monkeypatch):
+        z_p, z_q, _ = sim_1d
+        orders = []
+        solve = baselines.solve_linear
+
+        def spy(A, b, context=""):
+            orders.append(A.shape[0])
+            return solve(A, b, context)
+
+        monkeypatch.setattr(baselines, "solve_linear", spy)
+        for t in bandwidth_grid(z_p)[1]:
+            assert all(est is not None for est in lsif_unconstrained(z_p, z_q, t, SIM_LAMS))
+        assert len(orders) >= 10 * SIM_LAMS.size
+        assert max(orders) <= 300 // 3
+
+    def test_factor_gives_up_in_d5_and_alpha_is_bitwise_dense(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        z_p = rng.standard_normal((300, 5))
+        z_q = rng.standard_normal((300, 5)) * 0.8
+        factors = []
+        factor = baselines.pivoted_cholesky
+
+        def spy(K, tol, cap):
+            factors.append(factor(K, tol, cap))
+            return factors[-1]
+
+        monkeypatch.setattr(baselines, "pivoted_cholesky", spy)
+        fits = lsif_unconstrained(z_p, z_q, 1.0, SIM_LAMS)
+        assert factors == [None]
+        for est, alpha in zip(fits, dense_lsif_alphas(z_p, z_q, 1.0, SIM_LAMS)):
+            assert np.array_equal(est.alpha, alpha)
+
+    def test_refinement_failure_sends_only_that_lam_to_dense_solve(self, sim_1d, monkeypatch):
+        z_p, z_q, _ = sim_1d
+        t = 0.5
+        low_rank = baselines._low_rank_solve
+        failing = SIM_LAMS[3]
+
+        def spy(H, h, L, core, norms, lam):
+            return None if lam == failing else low_rank(H, h, L, core, norms, lam)
+
+        dense = []
+        solve = baselines.solve_linear
+
+        def spy_solve(A, b, context=""):
+            if A.shape[0] == z_q.shape[0]:
+                dense.append(A.shape)
+            return solve(A, b, context)
+
+        monkeypatch.setattr(baselines, "_low_rank_solve", spy)
+        monkeypatch.setattr(baselines, "solve_linear", spy_solve)
+        fits = lsif_unconstrained(z_p, z_q, t, SIM_LAMS)
+        assert len(dense) == 1
+        for lam, est, alpha in zip(SIM_LAMS, fits, dense_lsif_alphas(z_p, z_q, t, SIM_LAMS)):
+            assert np.array_equal(est.alpha, alpha) == (lam == failing)
+
+    def test_core_solve_failure_falls_back_to_dense(self, sim_1d, monkeypatch):
+        z_p, z_q, _ = sim_1d
+        solve = baselines.solve_linear
+
+        def small_fails(A, b, context=""):
+            if A.shape[0] < z_q.shape[0]:
+                raise NumericalError("synthetic failure")
+            return solve(A, b, context)
+
+        monkeypatch.setattr(baselines, "solve_linear", small_fails)
+        fits = lsif_unconstrained(z_p, z_q, 0.5, SIM_LAMS)
+        for est, alpha in zip(fits, dense_lsif_alphas(z_p, z_q, 0.5, SIM_LAMS)):
+            assert np.array_equal(est.alpha, alpha)
+
+    def test_empty_lam_grid_rejected_before_any_gram(self, monkeypatch):
+        z = np.zeros((3, 1))
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("Gram built for an empty lambda grid")
+
+        monkeypatch.setattr(baselines, "gaussian_kernel_matrix", no_gram)
+        with pytest.raises(ValueError, match="non-empty"):
+            lsif_unconstrained(z, z, t=1.0, lam=[])
+        with pytest.raises(ValueError, match="non-empty"):
+            lsif_unconstrained(z, z, t=1.0, lam=np.array([[1e-3]]))
 
 
 class TestTrueRatio:
