@@ -6,10 +6,14 @@ the median over REPEATS calls, after one warm-up call, of:
 
 - eigh_ms: `linalg.eigh_descending(K_pp)`, the dense n x n eigendecomposition
 - path_ms: `solvers._same_kernel_path` over the six-value lambda grid, as the
-  build ships it (rank-adaptive where the build has the pivoted-Cholesky
-  engine), with `eigh_order`, the order of the matrix the path eigendecomposed
-- path_dense_ms: the same path with the engine switched off, so it runs the
-  dense eigendecomposition (equal to path_ms on builds without the engine)
+  build ships it, with `route`, the way the path solved it: "rank r" (an
+  r x r eigendecomposition from a pivoted Cholesky factor), "tridiagonal"
+  (one tridiagonal reduction of K_pp and a banded solve per lambda, where
+  the factor gives up and the build has the reduction) or "eigh" (the dense
+  n x n eigendecomposition)
+- path_dense_ms: the same path with the factor and the reduction switched
+  off, so it runs the dense eigendecomposition (equal to path_ms on builds
+  without either)
 
 d = 1 uses a two-component Gaussian mixture and the normalized kernel at
 t = 0.4, where K_pp is numerically low rank; d = 5 uses standard normal
@@ -43,9 +47,10 @@ serially, with the selected cell:
 
 Every call runs on one BLAS thread, as the CV cells and `simulate` trials
 do.  The record also holds the numpy version, the BLAS name and version,
-nproc, the BLAS thread counts and the BLAS thread settings found in the
-environment.  It is appended to the "records" list of --out, so records of
-several builds sit side by side.
+whether LAPACKE was found in numpy's OpenBLAS, nproc, the BLAS thread
+counts and the BLAS thread settings found in the environment.  It is
+appended to the "records" list of --out, so records of several builds sit
+side by side.
 
 --src imports firedre from another checkout's src/ directory, to time two
 versions with the same harness:
@@ -55,6 +60,7 @@ versions with the same harness:
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -114,6 +120,16 @@ def cv_samples(rng, n, m, d):
     return rng.standard_normal((n, 1)), rng.normal(0.5, 0.8, (m, 1))
 
 
+def route(solvers, linalg, path, n):
+    """How path() solves its lambda grid: "rank r", "tridiagonal" or "eigh"."""
+    with mock.patch.object(solvers, "eigh_descending", side_effect=linalg.eigh_descending) as eigh:
+        path()
+    if not eigh.called:  # only the tridiagonal route eigendecomposes nothing
+        return "tridiagonal"
+    order = eigh.call_args.args[0].shape[0]
+    return f"rank {order}" if order < n else "eigh"
+
+
 def run():
     from firedre import baselines, kernels, linalg, selection, solvers
 
@@ -133,15 +149,13 @@ def run():
 
             row = {"n": n, "m": 2 * n, "d": d, "t": t, "normalized": normalized}
             row["eigh_ms"] = median_ms(lambda: linalg.eigh_descending(K_pp))
-            with mock.patch.object(solvers, "eigh_descending", side_effect=linalg.eigh_descending) as eigh:
-                path()
-            row["eigh_order"] = eigh.call_args.args[0].shape[0]
+            row["route"] = route(solvers, linalg, path, n)
             row["path_ms"] = median_ms(path)
-            if hasattr(solvers, "pivoted_cholesky"):
-                with mock.patch.object(solvers, "pivoted_cholesky", return_value=None):
-                    row["path_dense_ms"] = median_ms(path)
-            else:
-                row["path_dense_ms"] = row["path_ms"]
+            with contextlib.ExitStack() as dense:
+                for owner, attr in ((solvers, "pivoted_cholesky"), (linalg, "_lapacke")):
+                    if hasattr(owner, attr):
+                        dense.enter_context(mock.patch.object(owner, attr, return_value=None))
+                row["path_dense_ms"] = median_ms(path)
             results[name] = row
         for name, n, d, t in LSIF_SIZES:
             z_p, z_q = samples(rng, n, d)
@@ -186,6 +200,7 @@ def run():
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "lapacke": getattr(linalg, "_lapacke", lambda: None)() is not None,
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "blas_threads": {"outside_cells": linalg.blas_thread_count(), "timed": inside},
         "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
@@ -220,7 +235,7 @@ def main(argv=None):
             print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")
             continue
         print(f"{args.label:>8} {name:>14}  eigh {r['eigh_ms']:9.2f} ms  path {r['path_ms']:9.2f} ms"
-              f" (eigh order {r['eigh_order']:4d})  dense path {r['path_dense_ms']:9.2f} ms")
+              f" ({r['route']:>11})  dense path {r['path_dense_ms']:9.2f} ms")
     return 0
 
 

@@ -128,17 +128,22 @@ def _openblas_paths():
         yield system
 
 
+def _openblas_libs():
+    """ctypes handles of the libraries _openblas_paths names that load."""
+    for path in _openblas_paths():
+        try:
+            yield ctypes.CDLL(path)
+        except OSError:
+            continue
+
+
 @functools.cache
 def _openblas():
     """(get, set) thread-count functions of numpy's OpenBLAS, or None.
 
     Loading a library numpy has already loaded returns numpy's handle.
     """
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -181,3 +186,106 @@ def blas_threads(n):
             _blas_depth -= 1
             if _blas_depth == 0:
                 set_(_blas_saved)
+
+
+# (prefix, suffix, integer type) of the LAPACKE symbols, by OpenBLAS build:
+# the scipy-openblas64 and scipy-openblas32 builds bundled with numpy wheels,
+# then a plain OpenBLAS built with 64-bit integers.  A plain unsuffixed
+# LAPACKE is left out: its name does not tell the width of its integers.
+_LAPACKE_SYMBOLS = (
+    ("scipy_LAPACKE_", "64_", ctypes.c_int64),
+    ("scipy_LAPACKE_", "", ctypes.c_int),
+    ("LAPACKE_", "64_", ctypes.c_int64),
+)
+_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapacke():
+    """(dsytrd, dormtr, dpbsv) of numpy's OpenBLAS through LAPACKE, or None.
+
+    Column-major calls on C-ordered arrays: a symmetric matrix is its own
+    transpose, and an (r, n) array holds r column-major vectors of length n.
+    """
+    for lib in _openblas_libs():
+        for prefix, suffix, int_t in _LAPACKE_SYMBOLS:
+            names = [f"{prefix}{routine}{suffix}" for routine in ("dsytrd", "dormtr", "dpbsv")]
+            if not all(hasattr(lib, name) for name in names):
+                continue
+            sytrd, ormtr, pbsv = (getattr(lib, name) for name in names)
+            arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+            layout, char = ctypes.c_int, ctypes.c_char
+            sytrd.argtypes = [layout, char, int_t, arr, int_t, arr, arr, arr]
+            ormtr.argtypes = [layout, char, char, char, int_t, int_t, arr, int_t, arr, arr, int_t]
+            pbsv.argtypes = [layout, char, int_t, int_t, int_t, arr, int_t, arr, int_t]
+            for fn in (sytrd, ormtr, pbsv):
+                fn.restype = int_t
+            return sytrd, ormtr, pbsv
+    return None
+
+
+def _check_info(info, routine):
+    if info != 0:
+        raise NumericalError(f"LAPACKE {routine} failed (info={info})")
+
+
+def _cube_band(d, e):
+    """Lower band (n, 4) of T^3 for T = tridiag(e, d, e): row j holds T^3[j + k, j], k = 0..3.
+
+    Entries past the matrix are zero.  O(n), from T^3 = T T^2 written out.
+    """
+    n = d.size
+    D = np.zeros(n + 3)
+    E = np.zeros(n + 3)
+    D[1:n + 1] = d
+    E[1:n] = e
+    # d_{j-1}, d_j, d_{j+1}, d_{j+2} and e_{j-1}, ..., e_{j+2} at row j, zero past either end
+    dm, d0, d1, d2 = D[:n], D[1:n + 1], D[2:n + 2], D[3:]
+    em, e0, e1, e2 = E[:n], E[1:n + 1], E[2:n + 2], E[3:]
+    band = np.empty((n, 4))
+    band[:, 0] = d0 * (d0 * d0 + em * em + e0 * e0) + em * em * (dm + d0) + e0 * e0 * (d0 + d1)
+    band[:, 1] = e0 * (em * em + d0 * d0 + d0 * d1 + d1 * d1 + e0 * e0 + e1 * e1)
+    band[:, 2] = e0 * e1 * (d0 + d1 + d2)
+    band[:, 3] = e0 * e1 * e2
+    return band
+
+
+def tridiagonal_path(K, b, lams):
+    """Rows K (K^3 + lam I)^{-1} b, one per lam, from one tridiagonal reduction of K; or None.
+
+    K is symmetric.  dsytrd reduces it once to K = Z T Z' (T tridiagonal, Z
+    held as Householder reflectors); then K^3 + lam I = Z (T^3 + lam I) Z'
+    and each lam costs O(n): the 7-diagonal band of T^3 + lam I, a banded
+    Cholesky solve (dpbsv) against Z'b and a product with T.  One dormtr
+    applies Z to all the rows at once.  Returns None when no LAPACKE is
+    found in numpy's OpenBLAS; raises NumericalError when a T^3 + lam I is
+    not numerically positive definite (lam far below eps * ||K||^3).
+    """
+    api = _lapacke()
+    if api is None:
+        return None
+    sytrd, ormtr, pbsv = api
+    A = np.array(K, dtype=np.float64, order="C")
+    c = np.array(b, dtype=np.float64)
+    n = A.shape[0]
+    if A.shape != (n, n) or c.shape != (n,):
+        raise ValueError(f"expected a square matrix and a matching vector, got shapes {A.shape} and {c.shape}")
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    _check_info(sytrd(_COL_MAJOR, b"L", n, A, n, d, e, tau), "dsytrd")
+    e = e[:n - 1]
+    _check_info(ormtr(_COL_MAJOR, b"L", b"L", b"T", n, 1, A, n, tau, c, n), "dormtr")
+    cube = _cube_band(d, e)
+    Y = np.empty((len(lams), n))
+    for i, lam in enumerate(lams):
+        band = cube.copy()
+        band[:, 0] += lam
+        Y[i] = c
+        info = pbsv(_COL_MAJOR, b"L", n, 3, 1, band, 4, Y[i], n)
+        if info > 0:
+            raise NumericalError(f"T^3 + lam I is not positive definite in path at lam={lam} (minor {info})")
+        _check_info(info, "dpbsv")
+    V = Y * d  # T Y', row by row
+    V[:, :-1] += Y[:, 1:] * e
+    V[:, 1:] += Y[:, :-1] * e
+    _check_info(ormtr(_COL_MAJOR, b"L", b"L", b"N", n, len(lams), A, n, tau, V, n), "dormtr")
+    return V

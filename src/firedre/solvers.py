@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
-from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear
+from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 
 
 @dataclass(eq=False)
@@ -114,10 +114,12 @@ def solve_type1(z_p, z_q, k: KernelSpec, k_h: KernelSpec, lam):
 def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     """Regularization path of solve_type1 when k_H equals k.
 
-    With a single kernel, K_H = n K_pp, so one eigendecomposition
-    K_pp = Q diag(w) Q' serves every lam:
+    With a single kernel, K_H = n K_pp, so one factorization of K_pp serves
+    every lam (see _same_kernel_path):
 
-        coef(lam) = Q diag(w / (w^3 + lam)) Q' K_pq 1,   scale "over_n".
+        coef(lam) = K_pp (K_pp^3 + lam I)^{-1} K_pq 1,   scale "over_n",
+
+    or Q diag(w / (w^3 + lam)) Q' K_pq 1 with K_pp = Q diag(w) Q'.
 
     Returns one RatioEstimate per entry of lams; function values agree with
     the per-lam direct solves.  sq_pp and sq_pq, when given, are the squared
@@ -148,17 +150,18 @@ def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
 
 
 def _spectrum(K_pp):
-    """(w, Q) with K_pp ~ Q diag(w) Q', of rank r from a pivoted Cholesky factor.
+    """(w, Q) with K_pp ~ Q diag(w) Q', of rank r from a pivoted Cholesky factor; or None.
 
     The Gaussian K_pp of low-dimensional data is numerically low rank: with
     K_pp ~ L'L to a residual trace of RANK_TOL * trace(K_pp), a thin QR
     L' = Q_L R and the r x r eigendecomposition R R' = V diag(w) V' give
-    Q = Q_L V.  Up to r = n // 3 that costs less than the dense
-    eigendecomposition, which is used past it, so K_pp alone decides the path.
+    Q = Q_L V.  Past r = n // 3 pivots, or when the factor is not on course
+    to stay below that, it returns None and the path reduces K_pp itself
+    (see _same_kernel_path); K_pp alone decides the route.
     """
     L = pivoted_cholesky(K_pp, RANK_TOL, K_pp.shape[0] // 3)
     if L is None:
-        return eigh_descending(K_pp)
+        return None
     Q_L, R = np.linalg.qr(L.T)
     w, V = eigh_descending(R @ R.T)
     return w, Q_L @ V
@@ -181,13 +184,24 @@ def _cubic_system(K_pp, K_H, ridge):
 
 
 def _same_kernel_path(z_p, K_pp, target, k, lams):
-    w, Q = _spectrum(K_pp)
-    c = Q.T @ target
-    denoms = w ** 3 + lams[:, None]
-    bad = np.flatnonzero((denoms <= 0.0).any(axis=1))
-    if bad.size:
-        raise NumericalError(f"non-positive shifted eigenvalue in path at lam={lams[bad[0]]}")
-    return [RatioEstimate(centers=z_p, v=Q @ (w / denom * c), kernel=k, scale="over_n") for denom in denoms]
+    """coef(lam) = K_pp (K_pp^3 + lam I)^{-1} target for each lam, as estimates.
+
+    From the rank-r spectrum where _spectrum finds one; else from one
+    tridiagonal reduction of K_pp and a banded solve per lam
+    (linalg.tridiagonal_path), or, where numpy's OpenBLAS has no LAPACKE,
+    the dense eigendecomposition of K_pp.
+    """
+    spectrum = _spectrum(K_pp)
+    coefs = tridiagonal_path(K_pp, target, lams) if spectrum is None else None
+    if coefs is None:
+        w, Q = spectrum or eigh_descending(K_pp)
+        c = Q.T @ target
+        denoms = w ** 3 + lams[:, None]
+        bad = np.flatnonzero((denoms <= 0.0).any(axis=1))
+        if bad.size:
+            raise NumericalError(f"non-positive shifted eigenvalue in path at lam={lams[bad[0]]}")
+        coefs = [Q @ (w / denom * c) for denom in denoms]
+    return [RatioEstimate(centers=z_p, v=v, kernel=k, scale="over_n") for v in coefs]
 
 
 def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):

@@ -12,7 +12,7 @@ import firedre.selection as selection
 import firedre.solvers as solvers
 from firedre.config import SolverConfig
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
-from firedre.linalg import NumericalError, blas_thread_count, blas_threads
+from firedre.linalg import NumericalError, blas_thread_count, blas_threads, tridiagonal_path
 from firedre.selection import (
     LAMBDA_GRID,
     SETTINGS,
@@ -393,6 +393,24 @@ class TestDistanceRoute:
         grid = ([0.5, 1.0, 2.0, 4.0, 8.0], LAMBDA_GRID)
         routed = self.cv(fit, d=5, grid=grid)
         assert np.array_equal(routed.fold_scores, self.cv(lambda *args: fit(*args), d=5, grid=grid).fold_scores)
+
+    def test_d5_reduced_paths_thread_invariant(self, caller_blas_threads, monkeypatch):
+        z_p, z_q = small_problem(13, n=150, m=150, d=5)
+        vs = make_validation_set("linear", d=5, count=5, seed=4)
+        fit = fit_factory("type1", normalized=False)
+        reduced = []
+
+        def spy(K, b, lams):
+            reduced.append(K.shape[0])
+            return tridiagonal_path(K, b, lams)
+
+        monkeypatch.setattr(solvers, "tridiagonal_path", spy)
+        serial, parallel = (
+            kfold_cv(z_p, z_q, fit, [0.5, 1.0, 2.0, 4.0], LAMBDA_GRID, vs, folds=3, seed=2, threads=k) for k in (1, 2)
+        )
+        assert reduced == [100] * 24
+        assert np.isfinite(serial.fold_scores).all()
+        assert np.array_equal(serial.fold_scores, parallel.fold_scores)
 
     def test_only_path_settings_have_the_entry(self):
         for setting in ("type1", "type15", "type2"):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firedre import solvers
+from firedre import linalg, solvers
 from firedre.baselines import GaussianDensity, MixtureDensity
 from firedre.data import simulate
 from firedre.kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
-from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear
-from firedre.selection import LAMBDA_GRID
+from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
+from firedre.selection import LAMBDA_GRID, fit_factory, kfold_cv, make_validation_set
 from firedre.solvers import (
     RatioEstimate,
     evaluate,
@@ -569,6 +569,16 @@ class TestEighConventions:
             lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
             assert lead > 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_cube_band_matches_dense_cube(self, n):
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        band = linalg._cube_band(d, e)
+        for k in range(4):
+            assert np.allclose(band[: max(n - k, 0), k], np.diagonal(T @ T @ T, -k), rtol=1e-13, atol=1e-13)
+            assert not band[max(n - k, 0):, k].any()
+
     def test_deterministic_under_repeat(self):
         rng = np.random.default_rng(14)
         S = rng.standard_normal((11, 11))
@@ -648,6 +658,7 @@ MIXTURE_1D = MixtureDensity(
     components=(GaussianDensity(mean=(-2.0,), std=1.0), GaussianDensity(mean=(2.0,), std=0.5)),
 )
 NARROW_1D = GaussianDensity(mean=(0.0,), std=0.5)
+STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])  # the coordinate spreads of the shift-5d data
 
 
 def dense_path(z_p, K_pp, target, k, lams):
@@ -681,6 +692,24 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def tridiagonal_sizes(monkeypatch):
+    """Orders of the matrices solvers hands to tridiagonal_path, in call order."""
+    sizes = []
+
+    def spy(K, b, lams):
+        sizes.append(K.shape[0])
+        return tridiagonal_path(K, b, lams)
+
+    monkeypatch.setattr(solvers, "tridiagonal_path", spy)
+    return sizes
+
+
+def assert_repeats_bitwise(z_p, z_q, k, lams):
+    first, again = (solve_type1_path(z_p, z_q, k, lams) for _ in range(2))
+    assert all(np.array_equal(a.v, b.v) for a, b in zip(first, again))
+
+
 def grid_gap(z_p, z_q, t_grid, probes):
     return max(gap_to_dense(z_p, z_q, KernelSpec(t=float(t)), LAMBDA_GRID, probes) for t in t_grid)
 
@@ -708,9 +737,25 @@ class TestLowRankSpectrum:
         assert grid_gap(z_p, z_q, bandwidth_grid(z_p)[1][-4:], probes) <= 1e-10
         assert any(size < 300 for size in eigh_sizes)
 
-    def test_5d_full_rank_falls_back_bitwise(self, eigh_sizes):
+    @pytest.mark.parametrize("n", [240, 320, 1000])
+    def test_5d_full_rank_takes_tridiagonal_route(self, n, eigh_sizes, tridiagonal_sizes):
         rng = np.random.default_rng(12)
-        z_p = rng.standard_normal((240, 5)) * np.array([3.0, 0.7, 0.7, 0.7, 0.7])
+        z_p = rng.standard_normal((n, 5)) * STD_5D
+        z_q = rng.standard_normal((300, 5))
+        probes = rng.standard_normal((30, 5)) * STD_5D
+        t_grid = bandwidth_grid(z_p)[1]
+        if n == 1000:  # three give-up bandwidths keep it quick; the factor engages at the largest
+            t_grid = t_grid[:9:4]
+        for t in t_grid:
+            k = KernelSpec(t=float(t), normalized=False)
+            assert gap_to_dense(z_p, z_q, k, LAMBDA_GRID, probes) <= 1e-10
+        assert_repeats_bitwise(z_p, z_q, KernelSpec(t=float(t_grid[0]), normalized=False), LAMBDA_GRID)
+        assert eigh_sizes == [] and tridiagonal_sizes == [n] * (t_grid.size + 2)
+
+    def test_without_lapacke_give_up_is_dense_bitwise(self, monkeypatch, eigh_sizes, tridiagonal_sizes):
+        monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        rng = np.random.default_rng(12)
+        z_p = rng.standard_normal((240, 5)) * STD_5D
         z_q = rng.standard_normal((300, 5))
         for t in bandwidth_grid(z_p)[1]:
             k = KernelSpec(t=float(t), normalized=False)
@@ -719,7 +764,21 @@ class TestLowRankSpectrum:
             target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / 300
             for est, ref in zip(path, dense_path(z_p, K_pp, target, k, LAMBDA_GRID)):
                 assert np.array_equal(est.v, ref.v)
-        assert eigh_sizes == [240] * 10
+        assert eigh_sizes == [240] * 10 and tridiagonal_sizes == [240] * 10
+
+    def test_indefinite_shift_raises(self, monkeypatch):
+        # duplicated points give K_pp exact zero eigenvalues; at t = 0.01,
+        # lam = 1e-20 lies far below eps * w_max^3 ~ 5e-16, so the rounding
+        # of T^3 leaves T^3 + lam I indefinite
+        monkeypatch.setattr(solvers, "pivoted_cholesky", lambda K, tol, cap: None)
+        z_p = np.repeat(np.array([[-1.0], [0.3], [2.0]]), 10, axis=0)
+        z_q = np.linspace(-2.0, 2.0, 20)[:, None]
+        with pytest.raises(NumericalError, match="not positive definite in path at lam=1e-20"):
+            solve_type1_path(z_p, z_q, KernelSpec(t=0.01), [1e-20])
+        vs = make_validation_set("linear", d=1, count=4, seed=0)
+        res = kfold_cv(z_p, z_q, fit_factory("type1"), [0.01, 100.0], [1e-20], vs, folds=3, seed=0)
+        assert np.isinf(res.fold_scores[0]).all() and np.isfinite(res.fold_scores[1]).all()
+        assert res.selected_t == 100.0
 
     def test_duplicated_points_are_rank_deficient(self, eigh_sizes):
         z_p = np.repeat(np.array([[-1.0], [0.3], [2.0]]), 4, axis=0)
@@ -736,25 +795,28 @@ class TestLowRankSpectrum:
         assert L.shape == (1, 4)
         assert np.allclose(L.T @ L, K, rtol=1e-15, atol=0)
 
-    def test_single_point(self, eigh_sizes):
+    def test_single_point(self, eigh_sizes, tridiagonal_sizes):
+        # the cap n // 3 is 0, so the factor gives up at once
         z_p, z_q = np.array([[0.4]]), np.array([[0.1], [0.9]])
         k = KernelSpec(t=0.3)
         lams = np.array([1e-2, 1e-5])
-        K_pp = gaussian_kernel_matrix(z_p, z_p, k)
-        target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / 2
-        for est, ref in zip(solve_type1_path(z_p, z_q, k, lams), dense_path(z_p, K_pp, target, k, lams)):
-            assert np.array_equal(est.v, ref.v)
-        assert eigh_sizes == [1]
+        assert gap_to_dense(z_p, z_q, k, lams, np.array([[0.4], [1.0]])) <= 1e-10
+        assert_repeats_bitwise(z_p, z_q, k, lams)
+        assert eigh_sizes == [] and tridiagonal_sizes == [1] * 3
         assert pivoted_cholesky(np.array([[4.0]]), 1e-14, 1).tolist() == [[2.0]]
 
     @pytest.mark.parametrize("copies,order", [(3, 3), (2, 6)])
-    def test_rank_exactly_at_cap(self, copies, order, eigh_sizes):
-        # three distinct points give rank 3; the cap n // 3 is 3 for n = 9 and 2 for n = 6
+    def test_rank_exactly_at_cap(self, copies, order, eigh_sizes, tridiagonal_sizes):
+        # three distinct points give rank 3; the cap n // 3 is 3 for n = 9 and
+        # 2 for n = 6, where the factor gives up and the path reduces K_pp
         z_p = np.repeat(np.array([[-1.0], [0.5], [1.5]]), copies, axis=0)
         z_q = simulate(NARROW_1D, 10, 4)
         probes = np.linspace(-2.0, 2.0, 9)[:, None]
-        assert gap_to_dense(z_p, z_q, KernelSpec(t=0.4), np.array([1e-4]), probes) <= 1e-10
-        assert eigh_sizes == [order]
+        k = KernelSpec(t=0.4)
+        assert gap_to_dense(z_p, z_q, k, np.array([1e-4]), probes) <= 1e-10
+        assert_repeats_bitwise(z_p, z_q, k, np.array([1e-4]))
+        routed = (eigh_sizes, tridiagonal_sizes) if order < z_p.shape[0] else (tridiagonal_sizes, eigh_sizes)
+        assert routed == ([order] * 3, [])
 
     def test_huge_bandwidth_is_rank_one(self, eigh_sizes):
         z_p, z_q = instance(32, n=30, m=20)
