@@ -25,8 +25,9 @@ import time
 
 import numpy as np
 
-from .baselines import lsif_unconstrained, tikde, tikde_epsilon_grid, true_ratio
+from .baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from .config import (
+    METHODS,
     BenchConfig,
     ConfigError,
     DownstreamConfig,
@@ -335,7 +336,7 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         r_eval = oracle.evaluate(eval_X)
         t_grid = _t_grid(cfg.grids, z_p)
         best = _bench_trial(cfg.methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit)
-        return [[method, n, rep, *best[method]] for method in ("fire", "tikde", "lsif") if method in best]
+        return [[method, n, rep, *best[method]] for method in METHODS if method in best]
 
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
     packs = run_cells(one, tasks, threads)

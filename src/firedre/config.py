@@ -2,14 +2,19 @@
 
 Every runner resolves its config to a fully populated dataclass, and the
 resolved form can be serialized back to JSON (the "echo") such that
-re-running from the echo reproduces the results byte for byte.
+re-running from the echo reproduces the results byte for byte.  Each field
+of a block is declared once, with its default, its JSON key and the check
+that parses it; one `from_dict` and one `to_dict` read those declarations.
 """
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 from .baselines import GaussianDensity, MixtureDensity, UniformDensity
 from .selection import LAMBDA_GRID, SETTINGS, VALIDATION_FAMILIES
+
+METHODS = ("fire", "tikde", "lsif")  # the estimators `firedre simulate` compares, in row order
 
 
 class ConfigError(ValueError):
@@ -25,21 +30,26 @@ def _take(d, name, allowed):
     return d
 
 
-def _num(d, name, key, default=None, required=False, low=None, high=None, integer=False):
-    if key not in d or d[key] is None:
+def _check_number(x, where, low=None, high=None, integer=False):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {x!r}")
+    if not abs(x) <= sys.float_info.max:  # JSON's NaN and Infinity, or an integer no float holds
+        raise ConfigError(f"{where} must be a finite number, got {x!r}")
+    if integer and int(x) != x:
+        raise ConfigError(f"{where} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        raise ConfigError(f"{where} must be >= {low}, got {x}")
+    if high is not None and x > high:
+        raise ConfigError(f"{where} must be <= {high}, got {x}")
+    return int(x) if integer else float(x)
+
+
+def _num(d, name, key, default=None, required=False, **bounds):
+    if d.get(key) is None:
         if required:
             raise ConfigError(f"{name}.{key} is required")
         return default
-    x = d[key]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {x!r}")
-    if integer and int(x) != x:
-        raise ConfigError(f"{name}.{key} must be an integer, got {x!r}")
-    if low is not None and x < low:
-        raise ConfigError(f"{name}.{key} must be >= {low}, got {x}")
-    if high is not None and x > high:
-        raise ConfigError(f"{name}.{key} must be <= {high}, got {x}")
-    return int(x) if integer else float(x)
+    return _check_number(d[key], f"{name}.{key}", **bounds)
 
 
 # === analytic density specs ===
@@ -110,334 +120,222 @@ class SourceConfig:
         return {"density": density_to_dict(self.density), "n": self.n}
 
 
+# === declared fields ===
+
+
+def _field(default, check, key=None, required=False, nullable=False):
+    """A block field: its default, its JSON key and check(value, name, key).
+
+    The key is the field name unless given.  check parses a present value; a
+    missing value, or a null one where nullable, takes the default.
+    """
+    return field(default=default, metadata={"check": check, "key": key, "required": required, "nullable": nullable})
+
+
+def _number(default=None, **bounds):
+    return _field(default, lambda x, name, key: _check_number(x, f"{name}.{key}", **bounds), nullable=True)
+
+
+def _choice(default, choices, wording, got=True):
+    """A value of default's type among choices; got: whether a rejection shows the value."""
+
+    def check(x, name, key):
+        if not isinstance(x, type(default)) or x not in choices:
+            raise ConfigError(f"{name}.{key} must be {wording}" + (f", got {x!r}" if got else ""))
+        return x
+
+    return _field(default, check)
+
+
+def _flag(default, got=True):
+    return _choice(default, (True, False), "a boolean", got)
+
+
+def _list(default, item, ok, wording, key=None, nullable=False):
+    def check(x, name, key):
+        if not isinstance(x, list) or not x or not all(ok(v) for v in x):
+            raise ConfigError(f"{name}.{key} must be a non-empty {wording}")
+        return tuple(item(v) for v in x)
+
+    return _field(default, check, key, nullable=nullable)
+
+
+def _positive(v):
+    return isinstance(v, (int, float)) and 0 < v <= sys.float_info.max
+
+
+def _size(v):
+    return isinstance(v, int) and v >= 2
+
+
+def _nested(parse, default=None, required=False):
+    """A block, sample source or density spec, parsed with its key as its name."""
+    return _field(default, lambda x, name, key: parse(x, key), required=required,
+                  nullable=default is None and not required)
+
+
+def _block(cls):
+    return _nested(cls.from_dict, cls())
+
+
+def _echo(v):
+    if isinstance(v, tuple):
+        return list(v)
+    if isinstance(v, (GaussianDensity, UniformDensity, MixtureDensity)):
+        return density_to_dict(v)
+    return v.to_dict() if hasattr(v, "to_dict") else v
+
+
+class _Block:
+    """Parse and echo of a config block from its declared fields."""
+
+    _name = "config"  # what its messages call it when from_dict is given no name
+
+    @classmethod
+    def from_dict(cls, d, name=None):
+        name = name or cls._name
+        declared = [(f, f.metadata["key"] or f.name) for f in fields(cls)]
+        d = _take(d, name, {key for _, key in declared})
+        values = {}
+        for f, key in declared:
+            if key in d and (d[key] is not None or not f.metadata["nullable"]):
+                values[f.name] = f.metadata["check"](d[key], name, key)
+            elif f.metadata["required"]:
+                raise ConfigError(f"{name}.{key} is required")
+        cfg = cls(**values)
+        cfg.validate(name)
+        return cfg
+
+    def validate(self, name):
+        """Check the rules that join fields; most blocks have none."""
+
+    def to_dict(self):
+        return {f.metadata["key"] or f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
 # === shared solver / grid / cv blocks ===
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    setting: str = "type1"
-    gamma: float | None = None
-    t_prime_ratio: float = 2.0
-    normalized: bool = True
+class SolverConfig(_Block):
+    setting: str = _choice("type1", SETTINGS, f"one of {sorted(SETTINGS)}")
+    gamma: float | None = _number(low=0.0, high=1.0)
+    t_prime_ratio: float = _number(2.0, low=1e-12)
+    normalized: bool = _flag(True)
 
-    @classmethod
-    def from_dict(cls, d, name="solver"):
-        d = _take(d, name, {"setting", "gamma", "t_prime_ratio", "normalized"})
-        setting = d.get("setting", cls.setting)
-        if setting not in SETTINGS:
-            raise ConfigError(f"{name}.setting must be one of {sorted(SETTINGS)}, got {setting!r}")
-        gamma = _num(d, name, "gamma", low=0.0, high=1.0)
-        if SETTINGS[setting].needs_gamma and gamma is None:
-            raise ConfigError(f"{name}: {setting} setting requires gamma in [0, 1]")
-        ratio = _num(d, name, "t_prime_ratio", default=2.0, low=1e-12)
-        normalized = d.get("normalized", True)
-        if not isinstance(normalized, bool):
-            raise ConfigError(f"{name}.normalized must be a boolean, got {normalized!r}")
-        return cls(setting=setting, gamma=gamma, t_prime_ratio=ratio, normalized=normalized)
+    _name = "solver"
 
-    def to_dict(self):
-        return {
-            "setting": self.setting,
-            "gamma": self.gamma,
-            "t_prime_ratio": self.t_prime_ratio,
-            "normalized": self.normalized,
-        }
+    def validate(self, name):
+        if SETTINGS[self.setting].needs_gamma and self.gamma is None:
+            raise ConfigError(f"{name}: {self.setting} setting requires gamma in [0, 1]")
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    t: tuple | None = None  # None: data-driven doubling grid
-    lam: tuple = tuple(float(x) for x in LAMBDA_GRID)
-    neighbors: int = 10
-    size: int = 10
+class GridConfig(_Block):
+    # None: the data-driven doubling grid
+    t: tuple | None = _list(None, float, _positive, "list of positive numbers", nullable=True)
+    lam: tuple = _list(tuple(float(x) for x in LAMBDA_GRID), float, _positive, "list of positive numbers",
+                       key="lambda", nullable=True)
+    neighbors: int = _number(10, integer=True, low=1)
+    size: int = _number(10, integer=True, low=1)
 
-    @classmethod
-    def from_dict(cls, d, name="grids"):
-        d = _take(d, name, {"t", "lambda", "neighbors", "size"})
-        t = d.get("t")
-        if t is not None:
-            if not isinstance(t, list) or not t or any(not isinstance(x, (int, float)) or x <= 0 for x in t):
-                raise ConfigError(f"{name}.t must be a non-empty list of positive numbers")
-            t = tuple(float(x) for x in t)
-        lam = d.get("lambda")
-        if lam is None:
-            lam = cls.lam
-        else:
-            if not isinstance(lam, list) or not lam or any(not isinstance(x, (int, float)) or x <= 0 for x in lam):
-                raise ConfigError(f"{name}.lambda must be a non-empty list of positive numbers")
-            lam = tuple(float(x) for x in lam)
-        return cls(
-            t=t,
-            lam=lam,
-            neighbors=_num(d, name, "neighbors", default=10, integer=True, low=1),
-            size=_num(d, name, "size", default=10, integer=True, low=1),
-        )
-
-    def to_dict(self):
-        return {
-            "t": list(self.t) if self.t is not None else None,
-            "lambda": list(self.lam),
-            "neighbors": self.neighbors,
-            "size": self.size,
-        }
+    _name = "grids"
 
 
 @dataclass(frozen=True)
-class ValidationConfig:
-    family: str = "linear"
-    count: int = 50
-    anchor_count: int = 50
+class ValidationConfig(_Block):
+    family: str = _choice("linear", VALIDATION_FAMILIES, f"one of {sorted(VALIDATION_FAMILIES)}")
+    count: int = _number(50, integer=True, low=1)
+    anchor_count: int = _number(50, integer=True, low=1)
 
-    @classmethod
-    def from_dict(cls, d, name="validation"):
-        d = _take(d, name, {"family", "count", "anchor_count"})
-        family = d.get("family", "linear")
-        if family not in VALIDATION_FAMILIES:
-            raise ConfigError(f"{name}.family must be one of {sorted(VALIDATION_FAMILIES)}, got {family!r}")
-        return cls(
-            family=family,
-            count=_num(d, name, "count", default=50, integer=True, low=1),
-            anchor_count=_num(d, name, "anchor_count", default=50, integer=True, low=1),
-        )
-
-    def to_dict(self):
-        return {"family": self.family, "count": self.count, "anchor_count": self.anchor_count}
+    _name = "validation"
 
 
 @dataclass(frozen=True)
-class CVConfig:
-    folds: int = 5
-    fraction: float = 0.8
-    max_points: int | None = None
-    type2_q_points: int = 1000
+class CVConfig(_Block):
+    folds: int = _number(5, integer=True, low=2)
+    fraction: float = _number(0.8, low=1e-6, high=1.0)
+    max_points: int | None = _number(integer=True, low=20)
+    type2_q_points: int = _number(1000, integer=True, low=10)
 
-    @classmethod
-    def from_dict(cls, d, name="cv"):
-        d = _take(d, name, {"folds", "fraction", "max_points", "type2_q_points"})
-        return cls(
-            folds=_num(d, name, "folds", default=5, integer=True, low=2),
-            fraction=_num(d, name, "fraction", default=0.8, low=1e-6, high=1.0),
-            max_points=_num(d, name, "max_points", integer=True, low=20),
-            type2_q_points=_num(d, name, "type2_q_points", default=1000, integer=True, low=10),
-        )
+    _name = "cv"
 
-    def to_dict(self):
-        return {
-            "folds": self.folds,
-            "fraction": self.fraction,
-            "max_points": self.max_points,
-            "type2_q_points": self.type2_q_points,
-        }
+
+@dataclass(frozen=True)
+class SvmConfig(_Block):
+    C: float = _number(1.0, low=1e-12)
+    epochs: int = _number(200, integer=True, low=1)
+
+    _name = "svm"
 
 
 # === per-command configs ===
 
 
 @dataclass(frozen=True)
-class EstimateConfig:
-    seed: int = 0
-    p: SourceConfig = None
-    q: SourceConfig | None = None
-    q_function: object | None = None  # density spec for known-q fitting
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    grids: GridConfig = field(default_factory=GridConfig)
-    validation: ValidationConfig = field(default_factory=ValidationConfig)
-    cv: CVConfig = field(default_factory=CVConfig)
-    clip_negative: bool = False
+class EstimateConfig(_Block):
+    seed: int = _number(0, integer=True, low=0)
+    p: SourceConfig = _nested(SourceConfig.from_dict, required=True)
+    q: SourceConfig | None = _nested(SourceConfig.from_dict)
+    q_function: object | None = _nested(density_from_dict)  # density spec for known-q fitting
+    solver: SolverConfig = _block(SolverConfig)
+    grids: GridConfig = _block(GridConfig)
+    validation: ValidationConfig = _block(ValidationConfig)
+    cv: CVConfig = _block(CVConfig)
+    clip_negative: bool = _flag(False, got=False)
 
-    @classmethod
-    def from_dict(cls, d):
-        d = _take(d, "config", {"seed", "p", "q", "q_function", "solver", "grids", "validation", "cv", "clip_negative"})
-        if "p" not in d:
-            raise ConfigError("config.p is required")
-        solver = SolverConfig.from_dict(d.get("solver", {}))
-        q = d.get("q")
-        q_function = d.get("q_function")
-        if SETTINGS[solver.setting].reads_q_fn:
-            if q_function is None:
-                raise ConfigError(f"{solver.setting} needs config.q_function (an analytic density)")
-            if q is not None:
-                raise ConfigError(f"{solver.setting} takes q_function, not a q sample")
-            q_function = density_from_dict(q_function, "q_function")
+    def validate(self, name):
+        setting = self.solver.setting
+        if SETTINGS[setting].reads_q_fn:
+            if self.q_function is None:
+                raise ConfigError(f"{setting} needs config.q_function (an analytic density)")
+            if self.q is not None:
+                raise ConfigError(f"{setting} takes q_function, not a q sample")
         else:
-            if q is None:
-                raise ConfigError(f"setting {solver.setting!r} needs a q sample source")
-            if q_function is not None:
-                raise ConfigError(f"q_function is only valid for settings that read it, not {solver.setting!r}")
-        clip = d.get("clip_negative", False)
-        if not isinstance(clip, bool):
-            raise ConfigError("config.clip_negative must be a boolean")
-        return cls(
-            seed=_num(d, "config", "seed", default=0, integer=True, low=0),
-            p=SourceConfig.from_dict(d["p"], "p"),
-            q=SourceConfig.from_dict(q, "q") if q is not None else None,
-            q_function=q_function,
-            solver=solver,
-            grids=GridConfig.from_dict(d.get("grids", {})),
-            validation=ValidationConfig.from_dict(d.get("validation", {})),
-            cv=CVConfig.from_dict(d.get("cv", {})),
-            clip_negative=clip,
-        )
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "p": self.p.to_dict(),
-            "q": self.q.to_dict() if self.q is not None else None,
-            "q_function": density_to_dict(self.q_function) if self.q_function is not None else None,
-            "solver": self.solver.to_dict(),
-            "grids": self.grids.to_dict(),
-            "validation": self.validation.to_dict(),
-            "cv": self.cv.to_dict(),
-            "clip_negative": self.clip_negative,
-        }
+            if self.q is None:
+                raise ConfigError(f"setting {setting!r} needs a q sample source")
+            if self.q_function is not None:
+                raise ConfigError(f"q_function is only valid for settings that read it, not {setting!r}")
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    seed: int = 0
-    p_density: object = None
-    q_density: object = None
-    n_grid: tuple = (50, 200, 1000)
-    m: int = 2000
-    repetitions: int = 20
-    methods: tuple = ("fire", "tikde", "lsif")
-    eval_n: int = 1000
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    grids: GridConfig = field(default_factory=GridConfig)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = _take(d, "config", {"seed", "p_density", "q_density", "n_grid", "m", "repetitions", "methods", "eval_n", "solver", "grids"})
-        for key in ("p_density", "q_density"):
-            if key not in d:
-                raise ConfigError(f"config.{key} is required")
-        n_grid = d.get("n_grid", [50, 200, 1000])
-        if not isinstance(n_grid, list) or not n_grid or any(not isinstance(x, int) or x < 2 for x in n_grid):
-            raise ConfigError("config.n_grid must be a non-empty list of ints >= 2")
-        methods = d.get("methods", ["fire", "tikde", "lsif"])
-        known = {"fire", "tikde", "lsif"}
-        if not isinstance(methods, list) or not methods or any(m not in known for m in methods):
-            raise ConfigError(f"config.methods must be a non-empty subset of {sorted(known)}")
-        return cls(
-            seed=_num(d, "config", "seed", default=0, integer=True, low=0),
-            p_density=density_from_dict(d["p_density"], "p_density"),
-            q_density=density_from_dict(d["q_density"], "q_density"),
-            n_grid=tuple(n_grid),
-            m=_num(d, "config", "m", default=2000, integer=True, low=2),
-            repetitions=_num(d, "config", "repetitions", default=20, integer=True, low=1),
-            methods=tuple(methods),
-            eval_n=_num(d, "config", "eval_n", default=1000, integer=True, low=10),
-            solver=SolverConfig.from_dict(d.get("solver", {})),
-            grids=GridConfig.from_dict(d.get("grids", {})),
-        )
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "p_density": density_to_dict(self.p_density),
-            "q_density": density_to_dict(self.q_density),
-            "n_grid": list(self.n_grid),
-            "m": self.m,
-            "repetitions": self.repetitions,
-            "methods": list(self.methods),
-            "eval_n": self.eval_n,
-            "solver": self.solver.to_dict(),
-            "grids": self.grids.to_dict(),
-        }
+class BenchConfig(_Block):
+    seed: int = _number(0, integer=True, low=0)
+    p_density: object = _nested(density_from_dict, required=True)
+    q_density: object = _nested(density_from_dict, required=True)
+    n_grid: tuple = _list((50, 200, 1000), int, _size, "list of ints >= 2")
+    m: int = _number(2000, integer=True, low=2)
+    repetitions: int = _number(20, integer=True, low=1)
+    methods: tuple = _list(METHODS, str, METHODS.__contains__, f"subset of {sorted(METHODS)}")
+    eval_n: int = _number(1000, integer=True, low=10)
+    solver: SolverConfig = _block(SolverConfig)
+    grids: GridConfig = _block(GridConfig)
 
 
 @dataclass(frozen=True)
-class SvmConfig:
-    C: float = 1.0
-    epochs: int = 200
+class DownstreamConfig(_Block):
+    seed: int = _number(0, integer=True, low=0)
+    task: str = _choice("regression", ("regression", "classification"), "regression or classification")
+    train: SourceConfig = _nested(SourceConfig.from_dict, required=True)
+    test: SourceConfig = _nested(SourceConfig.from_dict, required=True)
+    # the unlabeled sample for ratio fitting; None: the test features
+    ratio_q: SourceConfig | None = _nested(SourceConfig.from_dict)
+    solver: SolverConfig = _block(SolverConfig)
+    grids: GridConfig = _block(GridConfig)
+    validation: ValidationConfig = _block(ValidationConfig)
+    cv: CVConfig = _block(CVConfig)
+    svm: SvmConfig = _block(SvmConfig)
+    train_sizes: tuple | None = _list(None, int, _size, "list of ints >= 2", nullable=True)
+    clip_weights: bool = _flag(True, got=False)
 
-    @classmethod
-    def from_dict(cls, d, name="svm"):
-        d = _take(d, name, {"C", "epochs"})
-        return cls(
-            C=_num(d, name, "C", default=1.0, low=1e-12),
-            epochs=_num(d, name, "epochs", default=200, integer=True, low=1),
-        )
-
-    def to_dict(self):
-        return {"C": self.C, "epochs": self.epochs}
-
-
-@dataclass(frozen=True)
-class DownstreamConfig:
-    seed: int = 0
-    task: str = "regression"
-    train: SourceConfig = None
-    test: SourceConfig = None
-    ratio_q: SourceConfig | None = None  # unlabeled sample for ratio fitting; defaults to test features
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    grids: GridConfig = field(default_factory=GridConfig)
-    validation: ValidationConfig = field(default_factory=ValidationConfig)
-    cv: CVConfig = field(default_factory=CVConfig)
-    svm: SvmConfig = field(default_factory=SvmConfig)
-    train_sizes: tuple | None = None
-    clip_weights: bool = True
-
-    @classmethod
-    def from_dict(cls, d):
-        d = _take(
-            d,
-            "config",
-            {"seed", "task", "train", "test", "ratio_q", "solver", "grids", "validation", "cv", "svm", "train_sizes", "clip_weights"},
-        )
-        task = d.get("task", "regression")
-        if task not in ("regression", "classification"):
-            raise ConfigError(f"config.task must be regression or classification, got {task!r}")
+    def validate(self, name):
         for key in ("train", "test"):
-            if key not in d:
-                raise ConfigError(f"config.{key} is required")
-        train = SourceConfig.from_dict(d["train"], "train")
-        test = SourceConfig.from_dict(d["test"], "test")
-        for name, src in (("train", train), ("test", test)):
+            src = getattr(self, key)
             if src.csv is not None and src.label_column is None:
-                raise ConfigError(f"config.{name} needs label_column for supervised evaluation")
-        sizes = d.get("train_sizes")
-        if sizes is not None:
-            if not isinstance(sizes, list) or not sizes or any(not isinstance(x, int) or x < 2 for x in sizes):
-                raise ConfigError("config.train_sizes must be a non-empty list of ints >= 2")
-            sizes = tuple(sizes)
-        clip = d.get("clip_weights", True)
-        if not isinstance(clip, bool):
-            raise ConfigError("config.clip_weights must be a boolean")
-        solver = SolverConfig.from_dict(d.get("solver", {}))
-        if SETTINGS[solver.setting].reads_q_fn:
-            raise ConfigError(f"downstream ratio fitting needs a sampled q; {solver.setting} is not supported here")
-        return cls(
-            seed=_num(d, "config", "seed", default=0, integer=True, low=0),
-            task=task,
-            train=train,
-            test=test,
-            ratio_q=SourceConfig.from_dict(d["ratio_q"], "ratio_q") if d.get("ratio_q") is not None else None,
-            solver=solver,
-            grids=GridConfig.from_dict(d.get("grids", {})),
-            validation=ValidationConfig.from_dict(d.get("validation", {})),
-            cv=CVConfig.from_dict(d.get("cv", {})),
-            svm=SvmConfig.from_dict(d.get("svm", {})),
-            train_sizes=sizes,
-            clip_weights=clip,
-        )
-
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "task": self.task,
-            "train": self.train.to_dict(),
-            "test": self.test.to_dict(),
-            "ratio_q": self.ratio_q.to_dict() if self.ratio_q is not None else None,
-            "solver": self.solver.to_dict(),
-            "grids": self.grids.to_dict(),
-            "validation": self.validation.to_dict(),
-            "cv": self.cv.to_dict(),
-            "svm": self.svm.to_dict(),
-            "train_sizes": list(self.train_sizes) if self.train_sizes is not None else None,
-            "clip_weights": self.clip_weights,
-        }
+                raise ConfigError(f"{name}.{key} needs label_column for supervised evaluation")
+        setting = self.solver.setting
+        if SETTINGS[setting].reads_q_fn:
+            raise ConfigError(f"downstream ratio fitting needs a sampled q; {setting} is not supported here")
 
 
 @dataclass(frozen=True)
@@ -455,30 +353,22 @@ class ResampleConfig:
         d = _take(d, "config", {"seed", "data", "mode"})
         if "data" not in d:
             raise ConfigError("config.data is required")
+        seed = _num(d, "config", "seed", default=0, integer=True, low=0)
+        data = SourceConfig.from_dict(d["data"], "data")
         mode = _take(d.get("mode", {}), "mode", {"kind", "a", "b", "b_units", "labels"})
         kind = mode.get("kind")
         if kind == "pca_sigmoid":
             b_units = mode.get("b_units", "absolute")
             if b_units not in ("absolute", "sigma"):
                 raise ConfigError(f"mode.b_units must be absolute or sigma, got {b_units!r}")
-            return cls(
-                seed=_num(d, "config", "seed", default=0, integer=True, low=0),
-                data=SourceConfig.from_dict(d["data"], "data"),
-                kind=kind,
-                a=_num(mode, "mode", "a", required=True),
-                b=_num(mode, "mode", "b", required=True),
-                b_units=b_units,
-            )
+            a = _num(mode, "mode", "a", required=True)
+            b = _num(mode, "mode", "b", required=True)
+            return cls(seed=seed, data=data, kind=kind, a=a, b=b, b_units=b_units)
         if kind == "label_subset":
             labels = mode.get("labels")
             if not isinstance(labels, list) or not labels:
                 raise ConfigError("mode.labels must be a non-empty list")
-            return cls(
-                seed=_num(d, "config", "seed", default=0, integer=True, low=0),
-                data=SourceConfig.from_dict(d["data"], "data"),
-                kind=kind,
-                labels=tuple(labels),
-            )
+            return cls(seed=seed, data=data, kind=kind, labels=tuple(labels))
         raise ConfigError(f"mode.kind must be pca_sigmoid or label_subset, got {kind!r}")
 
     def to_dict(self):

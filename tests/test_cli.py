@@ -610,3 +610,23 @@ class TestFailureModes:
         code, msg = fail_code(capsys, ["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "dimension" in msg
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "seed", np.inf),
+        ("cv", "max_points", np.inf),
+        ("cv", "fraction", np.nan),
+        ("grids", "t", [np.nan]),
+        ("grids", "lambda", [np.inf]),
+        ("solver", "t_prime_ratio", np.inf),
+        ("solver", "t_prime_ratio", 10 ** 400),
+    ], ids=["seed-inf", "cv.max_points-inf", "cv.fraction-nan", "grids.t-nan", "grids.lambda-inf",
+            "solver.t_prime_ratio-inf", "solver.t_prime_ratio-huge-int"])
+    def test_non_finite_number_exits_2_before_writing(self, tmp_path, capsys, block, key, value):
+        cfg = json.loads(json.dumps(ESTIMATE))
+        (cfg if block is None else cfg.setdefault(block, {}))[key] = value
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))  # NaN, Infinity and long integers, which Python's json reads back
+        code, msg = fail_code(capsys, ["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert msg.startswith(f"{block or 'config'}.{key} must be")
+        assert not (tmp_path / "o").exists()
