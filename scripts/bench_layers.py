@@ -45,6 +45,16 @@ serially, with the selected cell:
   N(0.5, 0.8^2), normalized kernel, 50 linear validation functions: the CV
   subsets of `estimate` at n = m = 1000, d = 1
 
+For each final-fit size (n p-points and m q-points with the coordinate
+spreads of shift-5d's data, unnormalized kernel at bandwidth t) it records
+the median over REPEATS calls of `solvers.solve_type1` with k_H = k at one
+lambda, the direct system of the final fit of `estimate` and `downstream`:
+
+- fit_ms: the whole call
+- grams_ms: the two Grams it builds, k(z_p, z_p) and k(z_p, z_q), timed
+  on their own
+- solve_ms: fit_ms - grams_ms, the system after the Grams
+
 Every call runs on one BLAS thread, as the CV cells and `simulate` trials
 do.  The record also holds the numpy version, the BLAS name and version,
 whether LAPACKE was found in numpy's OpenBLAS, nproc, the BLAS thread
@@ -92,6 +102,10 @@ LSIF_SIZES = (
 CV_SIZES = (
     ("cv_shift5d", 400, 400, 5, False, 20),
     ("cv_estimate_d1", 800, 800, 1, True, 50),
+)
+# (name, n p-points, m q-points, d, t, lambda) of the final-fit layer
+FINAL_FIT_SIZES = (
+    ("final_fit_n1378_d5", 1378, 2000, 5, 1.0, 1e-7),
 )
 STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
 
@@ -196,6 +210,20 @@ def run():
                 "n": n, "m": m, "d": d, "normalized": normalized, "validation": count,
                 "kfold_cv_ms": median_ms(cv), "selected": [res.selected_t, res.selected_lam],
             }
+        rng = np.random.default_rng(2)
+        for name, n, m, d, t, lam in FINAL_FIT_SIZES:
+            z_p, z_q = cv_samples(rng, n, m, d)
+            k = kernels.KernelSpec(t=t, normalized=False)
+
+            def grams():
+                kernels.gaussian_kernel_matrix(z_p, z_p, k)
+                kernels.gaussian_kernel_matrix(z_p, z_q, k)
+
+            row = {"n": n, "m": m, "d": d, "t": t, "normalized": False, "lambda": lam,
+                   "fit_ms": median_ms(lambda: solvers.solve_type1(z_p, z_q, k, k, lam)),
+                   "grams_ms": median_ms(grams)}
+            row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
+            results[name] = row
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -230,6 +258,10 @@ def main(argv=None):
         if "lsif_ms" in r:
             print(f"{args.label:>8} {name:>14}  lsif {r['lsif_ms']:9.2f} ms (rank {r['lsif_rank']})"
                   f"  dense lsif {r['lsif_dense_ms']:9.2f} ms")
+            continue
+        if "fit_ms" in r:
+            print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms  grams {r['grams_ms']:9.2f} ms"
+                  f"  solve after the grams {r['solve_ms']:9.2f} ms")
             continue
         if "kfold_cv_ms" in r:
             print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")

@@ -91,10 +91,12 @@ def _cell_str(c):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell_str(c) for c in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write a header and rows; a float64 matrix of rows goes through tolist(), with the bytes _cell_str gives."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        body = [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        body = [",".join(map(_cell_str, row)) for row in rows]
+    _write_text(path, "\n".join([",".join(header), *body]) + "\n")
 
 
 def _timestamp():
@@ -216,7 +218,7 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
         centers_path = os.path.join(out_dir, "centers.csv")
         weights_path = os.path.join(out_dir, "weights.csv")
         write_csv(centers_path, [f"x{j}" for j in range(z_p.shape[1])], z_p)
-        write_csv(weights_path, ["weight"], [[w] for w in weights])
+        write_csv(weights_path, ["weight"], weights[:, None])
         payload.update(
             {
                 "coefficients": est.v,
@@ -425,7 +427,7 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
         "weights_path": "weights.csv",
     }
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "weights.csv"), ["weight"], [[w] for w in weights])
+    write_csv(os.path.join(out_dir, "weights.csv"), ["weight"], weights[:, None])
     write_json(os.path.join(out_dir, "results.json"), payload)
     write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
     return payload
@@ -460,11 +462,13 @@ def run_resample(cfg: ResampleConfig, out_dir):
     payload["kept"] = int(res.X.shape[0])
 
     header = [f"x{j}" for j in range(res.X.shape[1])]
-    rows = [list(row) for row in res.X]
+    rows = res.X
     if res.labels is not None:
         header.append("label")
-        for row, lab in zip(rows, res.labels):
-            row.append(lab if isinstance(lab, str) else float(lab))
+        if res.labels.dtype.kind == "f":
+            rows = np.column_stack([res.X, res.labels])
+        else:
+            rows = [[*row, lab] for row, lab in zip(res.X.tolist(), res.labels.tolist())]
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "kept.csv"), header, rows)
     write_json(os.path.join(out_dir, "results.json"), payload)

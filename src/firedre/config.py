@@ -57,6 +57,11 @@ def _num(d, name, key, default=None, required=False, **bounds):
 
 def density_from_dict(d, name="density"):
     d = _take(d, name, {"kind", "mean", "std", "low", "high", "weights", "components"})
+    for key in ("mean", "low", "high", "weights"):
+        value = d.get(key)
+        cells = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(x, (int, float)) and not abs(x) <= sys.float_info.max for x in cells):
+            raise ConfigError(f"{name}.{key} must hold finite numbers, got {value!r}")
     kind = d.get("kind")
     try:
         if kind == "gaussian":
@@ -68,6 +73,8 @@ def density_from_dict(d, name="density"):
             return MixtureDensity(weights=tuple(d["weights"]), components=comps)
     except KeyError as exc:
         raise ConfigError(f"{name}: missing field {exc} for kind {kind!r}") from None
+    except ConfigError:  # a component's, which names itself
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
     raise ConfigError(f"{name}.kind must be gaussian, uniform, or mixture, got {kind!r}")

@@ -92,14 +92,33 @@ def pivoted_cholesky(K, tol, cap):
     return None
 
 
-def solve_linear(A, b, context=""):
-    """np.linalg.solve wrapped to raise NumericalError with context."""
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"linear solve failed{': ' + context if context else ''} ({exc})") from exc
+def solve_linear(A, b, context="", positive_definite=False):
+    """np.linalg.solve wrapped to raise NumericalError with context.
+
+    With positive_definite=True, A is a C-ordered float64 symmetric positive
+    definite matrix, which the solve overwrites: by its Cholesky factor,
+    through LAPACKE dposv of numpy's OpenBLAS, or, where no LAPACKE is found,
+    by np.linalg.solve (an LU of a copy) as without the flag.  Through dposv,
+    an A that is not numerically positive definite raises NumericalError.
+    """
+    where = f": {context}" if context else ""
+    api = _lapacke() if positive_definite else None
+    if api is not None:
+        n = A.shape[0]
+        x = np.array(b, dtype=np.float64)
+        if A.shape != (n, n) or x.shape != (n,):
+            raise ValueError(f"expected a square matrix and a matching vector, got shapes {A.shape} and {x.shape}")
+        info = api[3](_COL_MAJOR, b"L", n, 1, A, n, x, n)
+        if info > 0:
+            raise NumericalError(f"linear solve failed{where} (matrix is not positive definite: leading minor {info})")
+        _check_info(info, "dposv")
+    else:
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"linear solve failed{where} ({exc})") from exc
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"linear solve produced non-finite values{': ' + context if context else ''}")
+        raise NumericalError(f"linear solve produced non-finite values{where}")
     return x
 
 
@@ -202,25 +221,26 @@ _COL_MAJOR = 102
 
 @functools.cache
 def _lapacke():
-    """(dsytrd, dormtr, dpbsv) of numpy's OpenBLAS through LAPACKE, or None.
+    """(dsytrd, dormtr, dpbsv, dposv) of numpy's OpenBLAS through LAPACKE, or None.
 
     Column-major calls on C-ordered arrays: a symmetric matrix is its own
     transpose, and an (r, n) array holds r column-major vectors of length n.
     """
     for lib in _openblas_libs():
         for prefix, suffix, int_t in _LAPACKE_SYMBOLS:
-            names = [f"{prefix}{routine}{suffix}" for routine in ("dsytrd", "dormtr", "dpbsv")]
+            names = [f"{prefix}{routine}{suffix}" for routine in ("dsytrd", "dormtr", "dpbsv", "dposv")]
             if not all(hasattr(lib, name) for name in names):
                 continue
-            sytrd, ormtr, pbsv = (getattr(lib, name) for name in names)
+            sytrd, ormtr, pbsv, posv = (getattr(lib, name) for name in names)
             arr = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
             layout, char = ctypes.c_int, ctypes.c_char
             sytrd.argtypes = [layout, char, int_t, arr, int_t, arr, arr, arr]
             ormtr.argtypes = [layout, char, char, char, int_t, int_t, arr, int_t, arr, arr, int_t]
             pbsv.argtypes = [layout, char, int_t, int_t, int_t, arr, int_t, arr, int_t]
-            for fn in (sytrd, ormtr, pbsv):
+            posv.argtypes = [layout, char, int_t, int_t, arr, int_t, arr, int_t]
+            for fn in (sytrd, ormtr, pbsv, posv):
                 fn.restype = int_t
-            return sytrd, ormtr, pbsv
+            return sytrd, ormtr, pbsv, posv
     return None
 
 
@@ -264,7 +284,7 @@ def tridiagonal_path(K, b, lams):
     api = _lapacke()
     if api is None:
         return None
-    sytrd, ormtr, pbsv = api
+    sytrd, ormtr, pbsv, _ = api
     A = np.array(K, dtype=np.float64, order="C")
     c = np.array(b, dtype=np.float64)
     n = A.shape[0]

@@ -97,12 +97,8 @@ def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, 
     _check_lam(lam)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
-    n, m = z_p.shape[0], z_q.shape[0]
-    K_pp, K_H = _p_grams(z_p, k, k_h)
-    rhs = K_pp @ (gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / m)
-    A = _cubic_system(K_pp, K_H, n * lam)
-    del K_pp, K_H  # the solve then holds only A and LAPACK's copy of it
-    v = solve_linear(A, rhs, "type15 system")
+    target = gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / z_q.shape[0]
+    v = _solve_cubic(z_p, target, k, k_h, lam, "type15 system")
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 
@@ -170,7 +166,7 @@ def _spectrum(K_pp):
 def _add_ridge(A, ridge):
     """A + ridge * I, added to the diagonal in place; returns A.
 
-    Equal bit for bit to A + ridge * np.eye(n), because A, a product of
+    Equal bit for bit to A + ridge * np.eye(n), because A, built here from
     Gaussian Grams, holds no -0.0 (x + 0.0 is x for every other x), and
     without the two n x n temporaries.
     """
@@ -178,9 +174,34 @@ def _add_ridge(A, ridge):
     return A
 
 
-def _cubic_system(K_pp, K_H, ridge):
-    """(K_pp @ K_pp) @ K_H + ridge * I, written over K_pp, which the caller no longer needs."""
-    return _add_ridge(np.matmul(K_pp @ K_pp, K_H, out=K_pp), ridge)
+def _solve_cubic(z_p, target, k, k_h, lam, context):
+    """v = (K_pp^2 K_H + n lam I)^{-1} K_pp target, the direct system of type1, type15 and type2.
+
+    With k_H = k the system is n (K^3 + lam I) for K = K_pp.  Then, with
+    c = lam^(1/3) and B = K / c, K^3 + lam I = c^3 (B + I)(B^2 - B + I); both
+    factors are positive definite for positive semidefinite K (eigenvalues
+    b + 1 >= 1 and b^2 - b + 1 >= 3/4), so two Cholesky solves replace the
+    two products and the LU of the assembled system, about 5/3 n^3 flops
+    against 4.7 n^3, on two n x n arrays.  Otherwise the system is assembled
+    as it reads and solved by LU.
+    """
+    n = z_p.shape[0]
+    if k_h != k:
+        K_pp, K_H = _p_grams(z_p, k, k_h)
+        rhs = K_pp @ target
+        A = _add_ridge(np.matmul(K_pp @ K_pp, K_H, out=K_pp), n * lam)
+        del K_pp, K_H  # the solve then holds only A and LAPACK's copy of it
+        return solve_linear(A, rhs, context)
+    B = gaussian_kernel_matrix(z_p, z_p, k)
+    B /= n
+    rhs = B @ target
+    c = lam ** (1.0 / 3.0)
+    B /= c
+    S = B @ B.T  # symmetric product: one syrk
+    S -= B
+    y = solve_linear(_add_ridge(B, 1.0), rhs, context, positive_definite=True)
+    del B
+    return solve_linear(_add_ridge(S, 1.0), y, context, positive_definite=True) / (n * c ** 3)
 
 
 def _same_kernel_path(z_p, K_pp, target, k, lams):
@@ -266,13 +287,8 @@ def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam):
     """
     _check_lam(lam)
     z_p = as_sample_matrix(z_p, "z_p")
-    n = z_p.shape[0]
-    q = _check_q_values(q_values, n)
-    K_pp, K_H = _p_grams(z_p, k, k_h)
-    rhs = K_pp @ q
-    A = _cubic_system(K_pp, K_H, n * lam)
-    del K_pp, K_H
-    v = solve_linear(A, rhs, "type2 system")
+    q = _check_q_values(q_values, z_p.shape[0])
+    v = _solve_cubic(z_p, q, k, k_h, lam, "type2 system")
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 

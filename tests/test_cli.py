@@ -68,6 +68,12 @@ class TestHelpers:
         write_csv(path, ["a", "b", "c", "d"], [[1, 0.5, True, "lab"], [np.int64(2), np.float64(0.1), False, "x"]])
         text = open(path).read()
         assert text == "a,b,c,d\n1,0.5,1,lab\n2,0.1,0,x\n"
+        # a float matrix takes the tolist() route; the bytes stay those of the cell-by-cell route
+        matrix = np.array([[-0.0, 1e-300], [0.1, 3.0], [np.nan, -np.inf]])
+        write_csv(path, ["a", "b"], matrix)
+        assert open(path).read() == "a,b\n-0.0,1e-300\n0.1,3.0\nnan,-inf\n"
+        write_csv(path, ["a", "b"], [list(row) for row in matrix])
+        assert open(path).read() == "a,b\n-0.0,1e-300\n0.1,3.0\nnan,-inf\n"
 
     def test_write_json_non_finite_to_null(self, tmp_path):
         path = str(tmp_path / "t.json")

@@ -202,6 +202,19 @@ MESSAGES = [
      "p_density.kind must be gaussian, uniform, or mixture, got 'cauchy'"),
     ("bench-q-density-std", BenchConfig, over(BENCH, q_density={"kind": "gaussian", "mean": [0.0], "std": -1.0}),
      "q_density: std must be finite and > 0, got -1.0"),
+    ("bench-p-density-mean-nan", BenchConfig, over(BENCH, p_density={"kind": "gaussian", "mean": [0.0, NAN], "std": 1.0}),
+     "p_density.mean must hold finite numbers, got [0.0, nan]"),
+    ("bench-q-density-low-inf", BenchConfig, over(BENCH, q_density={"kind": "uniform", "low": [-INF], "high": [1.0]}),
+     "q_density.low must hold finite numbers, got [-inf]"),
+    ("bench-q-density-high-inf", BenchConfig, over(BENCH, q_density={"kind": "uniform", "low": [0.0], "high": [INF]}),
+     "q_density.high must hold finite numbers, got [inf]"),
+    ("bench-p-density-weights-nan", BenchConfig,
+     over(BENCH, p_density={"kind": "mixture", "weights": [NAN, 1.0], "components": [GAUSS, GAUSS]}),
+     "p_density.weights must hold finite numbers, got [nan, 1.0]"),
+    ("estimate-p-density-component-mean-inf", EstimateConfig,
+     over(EST, p={"density": {"kind": "mixture", "weights": [1.0],
+                              "components": [{"kind": "gaussian", "mean": INF, "std": 1.0}]}, "n": 5}),
+     "p.density.components[0].mean must hold finite numbers, got inf"),
     ("bench-n-grid-low", BenchConfig, over(BENCH, n_grid=[1]),
      "config.n_grid must be a non-empty list of ints >= 2"),
     ("bench-n-grid-empty", BenchConfig, over(BENCH, n_grid=[]),
