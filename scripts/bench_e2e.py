@@ -13,6 +13,9 @@ interpreter start-up):
   evaluation Grams)
 - estimate_n1000_d1_t1 / _t2: `estimate` at n = m = 1000, d = 1, default
   grids and CV, --threads 1 and 2
+- estimate_rkhs_loss_n1000_d1_t1 / estimate_combined_n1000_d1_t1: the same
+  `estimate` at --threads 1 with the rkhs_loss and the combined setting,
+  gamma = 0.5
 - downstream_c08_t1 / _t2: `downstream` on one c08 trial (seed 1000): OLS
   on 800 pca_sigmoid-thinned rows of a 3000-row d = 5 pool, 1000 test rows,
   2000 ratio-q rows, type1 unnormalized, 20 linear validation functions,
@@ -147,6 +150,11 @@ def run(work):
     for threads in (1, 2):
         name = f"estimate_n1000_d1_t{threads}"
         results[name], payload = timed(lambda: cli.run_estimate(est, work, threads=threads))
+        results[name]["selected"] = [payload["selected_t"], payload["selected_lambda"]]
+    for setting in ("rkhs_loss", "combined"):
+        est = EstimateConfig.from_dict({**ESTIMATE_1D, "solver": {"setting": setting, "gamma": 0.5}})
+        name = f"estimate_{setting}_n1000_d1_t1"
+        results[name], payload = timed(lambda: cli.run_estimate(est, work, threads=1))
         results[name]["selected"] = [payload["selected_t"], payload["selected_lambda"]]
     down = DownstreamConfig.from_dict(c08_inputs(work))
     for threads in (1, 2):

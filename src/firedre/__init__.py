@@ -37,7 +37,9 @@ from .solvers import (
     RatioEstimate,
     evaluate,
     solve_combined,
+    solve_combined_path,
     solve_rkhs_loss,
+    solve_rkhs_loss_path,
     solve_spectral,
     solve_type1,
     solve_type15,

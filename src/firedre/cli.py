@@ -410,10 +410,7 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
             if cfg.task == "regression":
                 model = weighted_ols(X_tr[idx], y_tr[idx], w)
             else:
-                model = weighted_linear_svm(
-                    X_tr[idx], y_tr[idx], w, C=cfg.svm.C, epochs=cfg.svm.epochs,
-                    seed=derive_seed(cfg.seed, f"svm:{s}:{variant}"),
-                )
+                model = weighted_linear_svm(X_tr[idx], y_tr[idx], w, C=cfg.svm.C, epochs=cfg.svm.epochs)
             metrics[variant][str(s)] = eval_metrics(model, X_te, y_te)
 
     payload = {

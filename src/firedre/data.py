@@ -18,9 +18,11 @@ def load_csv(path, label_column=None):
     """Read a numeric matrix (and optional label column) from a CSV file.
 
     The first row is treated as a header when any non-label cell in it does
-    not parse as a number.  Ragged rows and non-numeric feature cells raise
-    with the 1-based line number.  Labels parse as floats when every label
-    does, otherwise they stay strings.  Returns (X, labels-or-None).
+    not parse as a number.  Ragged rows, non-numeric feature cells, and
+    non-finite numbers (nan, inf) among the features, or among the labels
+    when they parse as numbers, raise with the 1-based line number.  Labels
+    parse as floats when every label does, otherwise they stay strings.
+    Returns (X, labels-or-None).
     """
     with open(path, newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
@@ -64,11 +66,21 @@ def load_csv(path, label_column=None):
         if label_column is not None:
             raw_labels.append(row[label_column])
     labels = None
+    bad = ~np.isfinite(X)
+    cols = np.array(feat_cols)
     if label_column is not None:
         try:
             labels = np.array([float(s) for s in raw_labels])
         except ValueError:
             labels = np.array(raw_labels)
+        else:
+            bad = np.column_stack([bad, ~np.isfinite(labels)])
+            cols = np.append(cols, label_column)
+    if bad.any():
+        r = int(np.flatnonzero(bad.any(axis=1))[0])
+        j = int(cols[bad[r]].min())
+        line, row = body[r]
+        raise ValueError(f"{path}: line {line}: non-finite value {row[j]!r} in column {j}")
     return X, labels
 
 

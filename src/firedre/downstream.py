@@ -72,15 +72,14 @@ def _svm_objective(beta, design, Y, w, C):
     return float(beta @ beta + (C / len(Y)) * np.sum(w * hinge))
 
 
-def weighted_linear_svm(X, Y, w, C=1.0, epochs=200, seed=0):
+def weighted_linear_svm(X, Y, w, C=1.0, epochs=200):
     """Weighted soft-margin linear SVM by deterministic subgradient descent.
 
     Minimizes ||beta||^2 + (C/n) sum_i w_i max(0, 1 - y_i beta' x~_i) with
     full-batch subgradient steps of size 1/(2k) at iteration k (the ridge
     term has curvature 2).  Labels must be -1/+1.  Records the objective
     after every epoch and returns the best iterate seen, which never loses
-    to the zero vector.  The optimizer itself is deterministic; seed is
-    accepted for interface uniformity with the stochastic stages.
+    to the zero vector.  The optimizer is deterministic.
     """
     X = as_sample_matrix(X, "X")
     Y = np.asarray(Y, dtype=np.float64)

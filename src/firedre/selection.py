@@ -22,7 +22,9 @@ from .linalg import NumericalError, blas_threads
 from .solvers import (
     RatioEstimate,
     solve_combined,
+    solve_combined_path,
     solve_rkhs_loss,
+    solve_rkhs_loss_path,
     solve_type1,
     solve_type15,
     solve_type15_path,
@@ -184,15 +186,15 @@ class Setting:
     """One loss and penalty choice of the Fredholm formulation.
 
     ``fit(z_p, z_q, t, lam, opts)`` solves it at one lambda.  ``path(z_p, z_q,
-    t, lams, opts, sq_pp, sq_pq)``, if any, solves a lambda grid from one
-    spectrum, building the Grams from the squared distances when given.
+    t, lams, opts, sq_pp, sq_pq)`` solves a lambda grid, building its Grams
+    once, from the squared distances when given.
     ``reads_q_fn``: it reads opts.q_fn at z_p in place of a q-sample (and no
     sq_pq).  Rows look the solvers up by name when called, so they reach a
     rebound module attribute (the span tracer, a test spy).
     """
 
     fit: object
-    path: object = None
+    path: object
     reads_q_fn: bool = False
     needs_gamma: bool = False
 
@@ -218,25 +220,30 @@ SETTINGS = {
         reads_q_fn=True,
     ),
     "combined": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_combined(z_p, z_q, o.k(t), o.k(t), o.gamma, lam), needs_gamma=True
+        fit=lambda z_p, z_q, t, lam, o: solve_combined(z_p, z_q, o.k(t), o.k(t), o.gamma, lam),
+        path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_combined_path(
+            z_p, z_q, o.k(t), o.gamma, lams, sq_pp=sq_pp, sq_pq=sq_pq
+        ),
+        needs_gamma=True,
     ),
-    "rkhs_loss": Setting(fit=lambda z_p, z_q, t, lam, o: solve_rkhs_loss(z_p, z_q, o.k(t), lam)),
+    "rkhs_loss": Setting(
+        fit=lambda z_p, z_q, t, lam, o: solve_rkhs_loss(z_p, z_q, o.k(t), lam),
+        path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_rkhs_loss_path(
+            z_p, z_q, o.k(t), lams, sq_pp=sq_pp, sq_pq=sq_pq
+        ),
+    ),
 }
 
 
 def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=True):
-    """Build a fit(z_p_train, z_q, t, lams) callback for kfold_cv from SETTINGS[setting].
+    """Build a fit(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None) callback for kfold_cv.
 
-    The callback returns one estimate per lam, from the row's path where it
-    has one, else from one direct fit per lam.  q_fn, a callable giving q
-    values at arbitrary points, is required where the row reads it.
-
-    Path settings also get a Gram-level entry,
-    ``fit.on_sq_dists(z_p_train, z_q, t, lams, sq_pp, sq_pq)``, which builds
-    the Grams from the squared distances of z_p_train to itself and to z_q
-    and returns the same estimates bit for bit; its estimates are centered
-    on z_p_train itself.  sq_pq may be None unless ``fit.reads_sq_pq``.
-    kfold_cv uses the entry to compute the distances once.
+    The callback returns one estimate per lam from SETTINGS[setting]'s path,
+    each centered on z_p_train itself.  sq_pp and sq_pq, when given, are the
+    squared distances of z_p_train to itself and to z_q, and the Grams are
+    built from them with the same bits; sq_pq may be None unless
+    ``fit.reads_sq_pq``.  q_fn, a callable giving q values at arbitrary
+    points, is required where the row reads it.
     """
     row = SETTINGS.get(setting)
     if row is None:
@@ -246,13 +253,10 @@ def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=Tr
     if row.needs_gamma and gamma is None:
         raise ValueError(f"{setting} fitting needs gamma")
     opts = FitOptions(gamma, t_prime_ratio, q_fn, normalized)
-    if row.path is None:
-        return lambda z_p_train, z_q, t, lams: [row.fit(z_p_train, z_q, t, lam, opts) for lam in lams]
 
     def fit(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None):
         return row.path(z_p_train, z_q, t, lams, opts, sq_pp, sq_pq)
 
-    fit.on_sq_dists = fit
     fit.reads_sq_pq = not row.reads_q_fn
     return fit
 
@@ -260,14 +264,14 @@ def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=Tr
 _CELL_ERRORS = (NumericalError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _values_at(estimates, X, sq=None):
+def _values_at(estimates, X, centers, sq):
     """Each estimate's values at X, None where evaluation fails.
 
     Estimates that share one centers array and one kernel, as those of a
     path solver do, read one Gram k(X, centers): est.values(G) is exactly
-    est.evaluate(X).  ``sq``, when given, holds the squared distances from X
-    to those centers, and the Gram is built from it.  Any other list is
-    evaluated estimate by estimate.
+    est.evaluate(X).  ``sq`` holds the squared distances from X to
+    ``centers``; when the estimates are centered on that array itself, the
+    Gram is built from it.  Any other list is evaluated estimate by estimate.
     """
     estimates = list(estimates)
     G = None
@@ -276,7 +280,7 @@ def _values_at(estimates, X, sq=None):
         isinstance(e, RatioEstimate) and e.centers is head.centers and e.kernel == head.kernel for e in estimates
     ):
         try:
-            G = gaussian_kernel_matrix(X, head.centers, head.kernel, sq=sq)
+            G = gaussian_kernel_matrix(X, head.centers, head.kernel, sq=sq if head.centers is centers else None)
         except _CELL_ERRORS:
             return [None] * len(estimates)
     out = []
@@ -288,30 +292,24 @@ def _values_at(estimates, X, sq=None):
     return out
 
 
-def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q, sq=None):
+def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q, D_pp, D_pq):
     """Held-out J for one (fold, t) against every lam; failures give +inf.
 
-    ``sq`` = (D_pp, D_pq), the squared distances of z_p to z_p and to z_q
-    (D_pq None when the fit reads no sq_pq), sends the fit through
-    fit.on_sq_dists and builds every Gram of the cell from index slices of
-    them.  np.take along each axis gives the slices in C order, which
-    gaussian_kernel_matrix reads without a transposing copy.
+    D_pp and D_pq are the squared distances of z_p to z_p and to z_q (D_pq
+    None when the fit reads no sq_pq).  Every Gram of the cell is built from
+    index slices of them; np.take along each axis gives the slices in C
+    order, which gaussian_kernel_matrix reads without a transposing copy.
     """
     L = len(lams)
     out = np.full(L, np.inf)
     z_train = z_p[train_idx]
+    sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
     try:
-        if sq is None:
-            estimates = fit(z_train, z_q, t, lams)
-        else:
-            D_pp, D_pq = sq
-            sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
-            estimates = fit.on_sq_dists(z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), sq_pq)
+        estimates = fit(z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), sq_pq)
     except _CELL_ERRORS:
         return out
-    val = z_p[val_idx]
-    sq_val = None if sq is None else sq[0].take(val_idx, 0).take(train_idx, 1)
-    for j, f_val in enumerate(_values_at(estimates, val, sq_val)):
+    sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
+    for j, f_val in enumerate(_values_at(estimates, z_p[val_idx], z_train, sq_val)):
         if f_val is None or not np.all(np.isfinite(f_val)):
             continue
         score = j_score(f_val, U_val, U_q)
@@ -331,12 +329,11 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     parallelizes them and changes no result bit.
 
     A Gaussian Gram sees the points only through their squared distances.
-    When ``fit`` has a Gram-level entry (fit_factory's path settings), the
-    distances D_pp = D(z_p, z_p) and, when fit.reads_sq_pq, D_pq = D(z_p, z_q)
-    are computed once per call, n^2 + n m floats, and each cell builds its
-    train x train, train x q and validation x train Grams from index slices
-    of them, which are bitwise the distances of the subsets.  Any other
-    callable is called as fit(z_p_train, z_q, t, lams).
+    The distances D_pp = D(z_p, z_p) and, unless fit.reads_sq_pq is false,
+    D_pq = D(z_p, z_q) are computed once per call, n^2 + n m floats.  Each
+    cell calls fit(z_p_train, z_q, t, lams, sq_pp, sq_pq) with index slices
+    of them, which are bitwise the distances of the subsets, and builds its
+    validation x train Gram from a slice of D_pp too.
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -364,12 +361,12 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
         for it, t in enumerate(t_grid):
             tasks.append((f, it, t, train_idx, val_idx, U_val))
 
-    routed = hasattr(fit, "on_sq_dists")
-    sq = (_sq_dists(z_p, z_p), _sq_dists(z_p, z_q) if fit.reads_sq_pq else None) if routed else None
+    D_pp = _sq_dists(z_p, z_p)
+    D_pq = _sq_dists(z_p, z_q) if getattr(fit, "reads_sq_pq", True) else None
 
     def run(task):
         f, it, t, train_idx, val_idx, U_val = task
-        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q, sq)
+        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q, D_pp, D_pq)
 
     for f, it, row in run_cells(run, tasks, threads):
         fold_scores[it, :, f] = row

@@ -50,10 +50,10 @@ class RatioEstimate:
         return out
 
 
-def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec):
+def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
     """K_pp = k(z_p, z_p) / n and K_H = k_h(z_p, z_p); one Gram serves both when k_h == k."""
-    G = gaussian_kernel_matrix(z_p, z_p, k)
-    K_H = G if k_h == k else gaussian_kernel_matrix(z_p, z_p, k_h)
+    G = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp)
+    K_H = G if k_h == k else gaussian_kernel_matrix(z_p, z_p, k_h, sq=sq_pp)
     return G / z_p.shape[0], K_H
 
 
@@ -240,23 +240,33 @@ def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):
     called with the same lam.
     """
     _check_lam(lam)
+    return _combined(z_p, z_q, k, k_h, gamma, [lam])[0]
+
+
+def solve_combined_path(z_p, z_q, k: KernelSpec, gamma, lams, sq_pp=None, sq_pq=None):
+    """solve_combined at each lam with k_H = k, bit for bit (sq_pp, sq_pq as in solve_type1_path)."""
+    return _combined(z_p, z_q, k, k, gamma, _check_lams(lams), sq_pp, sq_pq)
+
+
+def _combined(z_p, z_q, k, k_h, gamma, lams, sq_pp=None, sq_pq=None):
+    """solve_combined at each lam: its lam-free product M K_H and rhs are built once."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    K_pp, K_H = _p_grams(z_p, k, k_h)
-    G_pq = gaussian_kernel_matrix(z_p, z_q, k)
+    K_pp, K_H = _p_grams(z_p, k, k_h, sq_pp)
+    G_pq = gaussian_kernel_matrix(z_p, z_q, k, sq=sq_pq)
     K_qp = G_pq.T / n
     K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
     rhs = (gamma / n) * (K_pp @ (G_pq / m).sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
     del G_pq, K_qq
     M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
     del K_qp
-    A = _add_ridge(np.matmul(M, K_H, out=K_pp), lam)
-    del K_pp, K_H, M
-    v = solve_linear(A, rhs, "combined system")
-    return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
+    P = np.matmul(M, K_H, out=K_pp)
+    del K_pp, K_H, M  # the solves then hold only P and LAPACK's copy of it
+    coefs = _ridge_solves(P, rhs, lams, "combined system")
+    return [RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain") for v in coefs]
 
 
 def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
@@ -265,16 +275,41 @@ def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
     Minimizes ||K_zp f - K_zq 1||_H^2 + lam ||f||_H^2 over f in the span of
     k(x_i, .), which reduces to v = (K_pp K_H + n lam I)^{-1} K_pq 1.
     """
-    _check_lam(lam)
+    return solve_rkhs_loss_path(z_p, z_q, k, [lam])[0]
+
+
+def solve_rkhs_loss_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
+    """solve_rkhs_loss at each lam, bit for bit: K_pp K_H and the target are built once.
+
+    sq_pp and sq_pq are as in solve_type1_path.
+    """
+    lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    K_pp, K_H = _p_grams(z_p, k, k)
-    target = gaussian_kernel_matrix(z_p, z_q, k).sum(axis=1) / m
-    A = _add_ridge(K_pp @ K_H, n * lam)
+    K_pp, K_H = _p_grams(z_p, k, k, sq_pp)
+    target = gaussian_kernel_matrix(z_p, z_q, k, sq=sq_pq).sum(axis=1) / m
+    P = K_pp @ K_H
     del K_pp, K_H
-    v = solve_linear(A, target, "rkhs_loss system")
-    return RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain")
+    coefs = _ridge_solves(P, target, n * lams, "rkhs_loss system")
+    return [RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain") for v in coefs]
+
+
+def _ridge_solves(P, rhs, ridges, context):
+    """(P + ridge I)^{-1} rhs for each ridge, by LU, with P's diagonal set in place per ridge.
+
+    Each shifted diagonal is the saved diagonal plus the ridge, the same sum
+    as _add_ridge, so every solve equals its own assembled system bit for
+    bit while P is the one n x n array held.  P is left shifted by the last
+    ridge.
+    """
+    diag = P.diagonal().copy()
+    idx = np.diag_indices_from(P)
+    out = []
+    for ridge in ridges:
+        P[idx] = diag + ridge
+        out.append(solve_linear(P, rhs, context))
+    return out
 
 
 def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam):

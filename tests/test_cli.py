@@ -596,6 +596,31 @@ class TestFailureModes:
         assert code == 2
         assert "line 3" in msg
 
+    @pytest.mark.parametrize(
+        "command, cell, where",
+        [
+            ("estimate", "nan", "line 3: non-finite value 'nan' in column 0"),
+            ("downstream", "nan", "line 3: non-finite value 'nan' in column 2"),
+            ("downstream", "inf", "line 3: non-finite value 'inf' in column 2"),
+        ],
+    )
+    def test_non_finite_csv_value_reports_line(self, tmp_path, capsys, command, cell, where):
+        good = [f"{0.1 * i},{0.2 * i},{i % 2}" for i in range(40)]
+        bad = good[:2] + [f"0.3,0.6,{cell}"] + good[3:] if command == "downstream" else ["1.0", "2.0", cell, "4.0"]
+        (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n")
+        (tmp_path / "good.csv").write_text("\n".join(good) + "\n")
+        if command == "estimate":
+            cfg = dict(ESTIMATE, p={"csv": str(tmp_path / "bad.csv")})
+        else:
+            cfg = {"seed": 2, "train": {"csv": str(tmp_path / "bad.csv"), "label_column": -1},
+                   "test": {"csv": str(tmp_path / "good.csv"), "label_column": -1}}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, msg = fail_code(capsys, [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert msg.endswith(f"bad.csv: {where}")
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(ESTIMATE))

@@ -62,6 +62,27 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2.*oops"):
             load_csv(write(tmp_path, "1,2\n1,oops\n"))
 
+    @pytest.mark.parametrize(
+        "text, label_column, where",
+        [
+            ("1,2\n3,nan\n", None, "line 2: non-finite value 'nan' in column 1"),
+            ("x,y\n1,2\n-inf,4\n", None, "line 3: non-finite value '-inf' in column 0"),
+            ("1,2,1\n3,4,nan\n", 2, "line 2: non-finite value 'nan' in column 2"),
+            ("1,2,1\n3,4,1\ninf,5,Infinity\n", -1, "line 3: non-finite value 'inf' in column 0"),
+            ("1,2,1\n3,4,-1\n5,6,inf\n", 2, "line 3: non-finite value 'inf' in column 2"),
+        ],
+    )
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, text, label_column, where):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, label_column=label_column)
+        assert str(exc.value) == f"{path}: {where}"
+
+    def test_nan_string_label_stays_a_string(self, tmp_path):
+        # labels that do not all parse as numbers are strings, and "nan" is one of them
+        _, labels = load_csv(write(tmp_path, "1,2,cat\n3,4,nan\n"), label_column=2)
+        assert list(labels) == ["cat", "nan"]
+
     def test_label_column_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match="out of range"):
             load_csv(write(tmp_path, "1,2\n"), label_column=5)

@@ -26,7 +26,9 @@ from firedre.selection import (
 )
 from firedre.solvers import (
     solve_combined,
+    solve_combined_path,
     solve_rkhs_loss,
+    solve_rkhs_loss_path,
     solve_type1,
     solve_type15,
     solve_type15_path,
@@ -44,8 +46,13 @@ class ConstantEstimate:
         return np.full(X.shape[0], self.value)
 
 
-def constant_fit(z_p_train, z_q, t, lams):
+def constant_fit(z_p_train, z_q, t, lams, sq_pp, sq_pq):
     return [ConstantEstimate(1.0) for _ in lams]
+
+
+def without_slices(fit):
+    """fit called as a plain callback: it builds its own distances from the points."""
+    return lambda z, q, t, lams, sq_pp, sq_pq: fit(z, q, t, lams)
 
 
 class TestValidationFamilies:
@@ -224,7 +231,7 @@ class TestKfoldCv:
         z_p, z_q = small_problem(2, n=17)
         seen = []
 
-        def spy_fit(z_p_train, z_q_in, t, lams):
+        def spy_fit(z_p_train, z_q_in, t, lams, sq_pp, sq_pq):
             seen.append(z_p_train.copy())
             assert z_q_in.shape == z_q.shape
             return [ConstantEstimate(1.0) for _ in lams]
@@ -252,10 +259,10 @@ class TestKfoldCv:
         vs = make_validation_set("linear", d=2, count=4, seed=2)
         ok = fit_factory("type1")
 
-        def flaky_fit(z_p_train, z_q_in, t, lams):
+        def flaky_fit(z_p_train, z_q_in, t, lams, sq_pp, sq_pq):
             if t == 0.25:
                 raise NumericalError("synthetic failure")
-            return ok(z_p_train, z_q_in, t, lams)
+            return ok(z_p_train, z_q_in, t, lams, sq_pp, sq_pq)
 
         res = kfold_cv(z_p, z_q, flaky_fit, [0.25, 1.0], LAMBDA_GRID[:3], vs, folds=3, seed=5)
         assert np.isinf(res.fold_scores[0]).all()
@@ -270,7 +277,7 @@ class TestKfoldCv:
             def evaluate(self, X):
                 return np.full(X.shape[0], np.nan)
 
-        def fit(z_p_train, z_q_in, t, lams):
+        def fit(z_p_train, z_q_in, t, lams, sq_pp, sq_pq):
             return [NanEstimate() if lam == 1e-6 else ConstantEstimate(1.0) for lam in lams]
 
         res = kfold_cv(z_p, z_q, fit, [1.0], [1e-5, 1e-6, 1e-7], vs, folds=3, seed=0)
@@ -354,8 +361,9 @@ class TestSharedValidationGram:
         evaluate = solvers.evaluate
         type1 = fit_factory("type1")
 
-        def copied_centers(z_p_train, z_q, t, lams):
-            return [dataclasses.replace(e, centers=e.centers.copy()) for e in type1(z_p_train, z_q, t, lams)]
+        def copied_centers(z_p_train, z_q, t, lams, sq_pp, sq_pq):
+            estimates = type1(z_p_train, z_q, t, lams, sq_pp, sq_pq)
+            return [dataclasses.replace(e, centers=e.centers.copy()) for e in estimates]
 
         def spy_evaluate(*args, **kwargs):
             evaluations.append(1)
@@ -369,7 +377,7 @@ class TestSharedValidationGram:
 
 
 class TestDistanceRoute:
-    """fit_factory's path settings score every cell from one pair of distance matrices."""
+    """kfold_cv scores every cell from one pair of distance matrices."""
 
     GRID = ([0.3, 0.8, 2.0], [1e-4, 1e-6, 1e-8])
 
@@ -378,13 +386,13 @@ class TestDistanceRoute:
         vs = make_validation_set("linear", d=d, count=5, seed=4)
         return kfold_cv(z_p, z_q, fit, *grid, vs, folds=3, seed=2, threads=threads)
 
-    @pytest.mark.parametrize("setting", ["type1", "type15", "type2"])
+    @pytest.mark.parametrize("setting", ["type1", "type15", "type2", "combined", "rkhs_loss"])
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fold_scores_match_plain_callback_bitwise(self, setting, normalized, threads):
-        fit = fit_factory(setting, t_prime_ratio=3.0, q_fn=gaussian_q, normalized=normalized)
+        fit = fit_factory(setting, gamma=0.3, t_prime_ratio=3.0, q_fn=gaussian_q, normalized=normalized)
         routed = self.cv(fit, threads=threads)
-        plain = self.cv(lambda *args: fit(*args), threads=threads)
+        plain = self.cv(without_slices(fit), threads=threads)
         assert np.isfinite(routed.fold_scores).all()
         assert np.array_equal(routed.fold_scores, plain.fold_scores)
 
@@ -392,7 +400,7 @@ class TestDistanceRoute:
         fit = fit_factory("type1", normalized=False)
         grid = ([0.5, 1.0, 2.0, 4.0, 8.0], LAMBDA_GRID)
         routed = self.cv(fit, d=5, grid=grid)
-        assert np.array_equal(routed.fold_scores, self.cv(lambda *args: fit(*args), d=5, grid=grid).fold_scores)
+        assert np.array_equal(routed.fold_scores, self.cv(without_slices(fit), d=5, grid=grid).fold_scores)
 
     def test_d5_reduced_paths_thread_invariant(self, caller_blas_threads, monkeypatch):
         z_p, z_q = small_problem(13, n=150, m=150, d=5)
@@ -412,11 +420,11 @@ class TestDistanceRoute:
         assert np.isfinite(serial.fold_scores).all()
         assert np.array_equal(serial.fold_scores, parallel.fold_scores)
 
-    def test_only_path_settings_have_the_entry(self):
-        for setting in ("type1", "type15", "type2"):
-            assert callable(fit_factory(setting, q_fn=gaussian_q).on_sq_dists)
-        for setting in ("combined", "rkhs_loss"):
-            assert not hasattr(fit_factory(setting, gamma=0.3), "on_sq_dists")
+    def test_every_row_has_a_path(self):
+        assert all(callable(row.path) for row in SETTINGS.values())
+        assert {s: fit_factory(s, gamma=0.3, q_fn=gaussian_q).reads_sq_pq for s in SETTINGS} == {
+            "type1": True, "type15": True, "type2": False, "combined": True, "rkhs_loss": True
+        }
 
     def spy_sq_dists(self, monkeypatch):
         import firedre.kernels as kernels
@@ -448,12 +456,18 @@ class TestDistanceRoute:
         self.cv(fit)
         assert calls == {"selection": distances, "kernels": []}
 
-    def test_plain_callback_computes_no_shared_distances(self, monkeypatch):
+    def test_plain_callback_receives_distance_slices(self, monkeypatch):
         calls = self.spy_sq_dists(monkeypatch)
         type1 = fit_factory("type1")
-        self.cv(lambda *args: type1(*args))
-        assert calls["selection"] == []
-        assert len(calls["kernels"]) == 3 * 3 * len(self.GRID[0])
+        shapes = []
+
+        def plain(z_p_train, z_q, t, lams, sq_pp, sq_pq):
+            shapes.append((sq_pp.shape, sq_pq.shape))
+            return type1(z_p_train, z_q, t, lams, sq_pp, sq_pq)
+
+        self.cv(plain)
+        assert calls == {"selection": [(30, 30), (30, 36)], "kernels": []}
+        assert shapes == [((20, 20), (20, 36))] * (3 * len(self.GRID[0]))
 
     def test_three_gram_builds_per_cell(self, monkeypatch):
         builds = []
@@ -535,7 +549,7 @@ class TestFitFactory:
 
 
 def today_calls(setting, z_p, z_q, t, normalized, gamma=0.3, t_prime_ratio=3.0):
-    """(direct(lam), path(lams) or None): the solver calls each setting stands for."""
+    """(direct(lam), path(lams)): the solver calls each setting stands for."""
     k = KernelSpec(t=t, normalized=normalized)
     k_prime = KernelSpec(t=t * t_prime_ratio, normalized=normalized)
     q = gaussian_q(z_p)
@@ -550,7 +564,9 @@ def today_calls(setting, z_p, z_q, t, normalized, gamma=0.3, t_prime_ratio=3.0):
         "type1": lambda lams: solve_type1_path(z_p, z_q, k, lams),
         "type15": lambda lams: solve_type15_path(z_p, z_q, k, k_prime, lams),
         "type2": lambda lams: solve_type2_path(z_p, q, k, lams),
-    }.get(setting)
+        "combined": lambda lams: solve_combined_path(z_p, z_q, k, gamma, lams),
+        "rkhs_loss": lambda lams: solve_rkhs_loss_path(z_p, z_q, k, lams),
+    }[setting]
     return direct, path
 
 
@@ -565,7 +581,6 @@ class TestSettingsTable:
 
     def test_rows(self):
         assert sorted(SETTINGS) == ["combined", "rkhs_loss", "type1", "type15", "type2"]
-        assert {s for s, row in SETTINGS.items() if row.path is not None} == {"type1", "type15", "type2"}
         assert [s for s, row in SETTINGS.items() if row.reads_q_fn] == ["type2"]
         assert [s for s, row in SETTINGS.items() if row.needs_gamma] == ["combined"]
 
@@ -575,7 +590,7 @@ class TestSettingsTable:
         z_p, z_q = small_problem(14, n=26, m=31)
         direct, path = today_calls(setting, z_p, z_q, self.T, normalized)
         fit = fit_factory(setting, gamma=0.3, t_prime_ratio=3.0, q_fn=gaussian_q, normalized=normalized)
-        expect = path(self.LAMS) if path is not None else [direct(lam) for lam in self.LAMS]
+        expect = path(self.LAMS)
         got = fit(z_p, z_q, self.T, self.LAMS)
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
@@ -589,7 +604,8 @@ class TestSettingsTable:
         # rebind every firedre module's name for each solver, as the span tracer does
         reached = []
         names = ["solve_type1", "solve_type15", "solve_type2", "solve_combined", "solve_rkhs_loss",
-                 "solve_type1_path", "solve_type15_path", "solve_type2_path"]
+                 "solve_type1_path", "solve_type15_path", "solve_type2_path", "solve_combined_path",
+                 "solve_rkhs_loss_path"]
         modules = [m for name, m in sys.modules.items() if name == "firedre" or name.startswith("firedre.")]
         for name in names:
             original = getattr(solvers, name)
@@ -603,9 +619,8 @@ class TestSettingsTable:
                     if value is original:
                         monkeypatch.setattr(mod, key, spy)
         z_p, z_q = small_problem(15)
-        row = SETTINGS[setting]
         fit_factory(setting, gamma=0.3, q_fn=gaussian_q)(z_p, z_q, self.T, self.LAMS[:1])
-        assert reached[0] == f"solve_{setting}" + ("_path" if row.path is not None else "")
+        assert reached[0] == f"solve_{setting}_path"
         reached.clear()
         self.final_fit(setting, z_p, z_q, 1e-5, True)
         assert reached[0] == f"solve_{setting}"

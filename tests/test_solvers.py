@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from firedre import linalg, solvers
 from firedre.baselines import GaussianDensity, MixtureDensity
 from firedre.data import simulate
-from firedre.kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
+from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 from firedre.selection import LAMBDA_GRID, fit_factory, kfold_cv, make_validation_set
 from firedre.solvers import (
     RatioEstimate,
     evaluate,
     solve_combined,
+    solve_combined_path,
     solve_rkhs_loss,
+    solve_rkhs_loss_path,
     solve_spectral,
     solve_type1,
     solve_type15,
@@ -169,9 +171,9 @@ class TestSharedGram:
 
         shapes = []
 
-        def counting(A, B, spec):
+        def counting(A, B, spec, sq=None):
             shapes.append((len(A), len(B)))
-            return gaussian_kernel_matrix(A, B, spec)
+            return gaussian_kernel_matrix(A, B, spec, sq=sq)
 
         monkeypatch.setattr(solvers, "gaussian_kernel_matrix", counting)
         k, n = self.k, self.n
@@ -340,6 +342,28 @@ class TestRegularizationPaths:
         for lam, est in zip(lams, solve_type2_path(z_p, q_vals, k, lams)):
             direct = solve_type2(z_p, q_vals, k, k, lam)
             assert np.allclose(est.evaluate(probes), direct.evaluate(probes), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("setting", ["combined", "rkhs_loss"])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("slices", [False, True])
+    def test_lu_paths_bitwise_equal_to_direct(self, setting, normalized, slices):
+        z_all, z_q = instance(18, n=42, m=26, d=3)
+        idx = np.arange(1, 42, 2)
+        z_p = z_all[idx]
+        k = KernelSpec(t=0.8, normalized=normalized)
+        lams = np.array([1e-3, 1e-5, 1e-7])
+        # index slices of the distances of a larger sample, as kfold_cv passes them
+        sq = {"sq_pp": _sq_dists(z_all, z_all).take(idx, 0).take(idx, 1),
+              "sq_pq": _sq_dists(z_all, z_q).take(idx, 0)} if slices else {}
+        if setting == "combined":
+            path = solve_combined_path(z_p, z_q, k, 0.4, lams, **sq)
+            direct = [solve_combined(z_p, z_q, k, k, 0.4, lam) for lam in lams]
+        else:
+            path = solve_rkhs_loss_path(z_p, z_q, k, lams, **sq)
+            direct = [solve_rkhs_loss(z_p, z_q, k, lam) for lam in lams]
+        assert len(path) == len(lams)
+        for a, b in zip(path, direct):
+            assert np.array_equal(a.v, b.v) and a.scale == b.scale == "plain" and a.kernel == b.kernel == k
 
     def test_heavy_ridge_damps_to_zero(self):
         z_p, z_q = instance(8)
@@ -696,6 +720,8 @@ class TestSolverErrors:
         k = KernelSpec(t=1.0)
         with pytest.raises(ValueError, match="gamma"):
             solve_combined(z_p, z_q, k, k, 1.5, 1e-3)
+        with pytest.raises(ValueError, match="gamma"):
+            solve_combined_path(z_p, z_q, k, -0.1, [1e-3])
 
     def test_q_values_shape_and_finiteness(self):
         z_p, _ = instance(24, n=5)
@@ -711,8 +737,16 @@ class TestSolverErrors:
 
     def test_empty_lambda_path(self):
         z_p, z_q = instance(25, n=4, m=4)
-        with pytest.raises(ValueError):
-            solve_type1_path(z_p, z_q, KernelSpec(t=1.0), np.array([]))
+        k = KernelSpec(t=1.0)
+        for path in (
+            lambda lams: solve_type1_path(z_p, z_q, k, lams),
+            lambda lams: solve_combined_path(z_p, z_q, k, 0.5, lams),
+            lambda lams: solve_rkhs_loss_path(z_p, z_q, k, lams),
+        ):
+            with pytest.raises(ValueError):
+                path(np.array([]))
+            with pytest.raises(ValueError):
+                path(np.array([1e-3, 0.0]))
 
 
 MIXTURE_1D = MixtureDensity(
