@@ -55,6 +55,16 @@ lambda, the direct system of the final fit of `estimate` and `downstream`:
   on their own
 - solve_ms: fit_ms - grams_ms, the system after the Grams
 
+For the layers of shift-5d around the solvers it records the median over
+REPEATS calls of:
+
+- resample_pool3000_d5: `data.pca_resample` of a 3000-row d = 5 pool with
+  the coordinate spreads of shift-5d's data (a = 2.5, b = 1), as
+  pca_resample_ms, with the number of rows kept
+- sq_dists_1360x2000_d5: `kernels._sq_dists` of 1360 against 2000 points
+  with those spreads, as sq_dists_ms: the distances under the final fit's
+  k(z_p, z_q) Gram
+
 Every call runs on one BLAS thread, as the CV cells and `simulate` trials
 do.  The record also holds the numpy version, the BLAS name and version,
 whether LAPACKE was found in numpy's OpenBLAS, nproc, the BLAS thread
@@ -107,6 +117,14 @@ CV_SIZES = (
 FINAL_FIT_SIZES = (
     ("final_fit_n1378_d5", 1378, 2000, 5, 1.0, 1e-7),
 )
+# (name, pool rows, d) of the resampling layer
+RESAMPLE_SIZES = (
+    ("resample_pool3000_d5", 3000, 5),
+)
+# (name, n, m, d) of the pairwise distance layer
+SQ_DISTS_SIZES = (
+    ("sq_dists_1360x2000_d5", 1360, 2000, 5),
+)
 STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
 
 
@@ -145,7 +163,7 @@ def route(solvers, linalg, path, n):
 
 
 def run():
-    from firedre import baselines, kernels, linalg, selection, solvers
+    from firedre import baselines, data, kernels, linalg, selection, solvers
 
     rng = np.random.default_rng(0)
     lams = np.asarray(LAMS)
@@ -224,6 +242,18 @@ def run():
                    "grams_ms": median_ms(grams)}
             row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
             results[name] = row
+        rng = np.random.default_rng(3)
+        for name, rows, d in RESAMPLE_SIZES:
+            pool = cv_samples(rng, rows, 0, d)[0]
+
+            def resample():
+                return data.pca_resample(pool, None, 2.5, 1.0, seed=4)
+
+            results[name] = {"rows": rows, "d": d, "pca_resample_ms": median_ms(resample),
+                             "kept": int(resample().mask.sum())}
+        for name, n, m, d in SQ_DISTS_SIZES:
+            A, B = cv_samples(rng, n, m, d)
+            results[name] = {"n": n, "m": m, "d": d, "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B))}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -262,6 +292,12 @@ def main(argv=None):
         if "fit_ms" in r:
             print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms  grams {r['grams_ms']:9.2f} ms"
                   f"  solve after the grams {r['solve_ms']:9.2f} ms")
+            continue
+        if "pca_resample_ms" in r:
+            print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")
+            continue
+        if "sq_dists_ms" in r:
+            print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms")
             continue
         if "kfold_cv_ms" in r:
             print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")

@@ -6,6 +6,7 @@ sigmoid gate), or by keeping only a subset of class labels.
 """
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,14 @@ def load_csv(path, label_column=None):
     The first row is treated as a header when any non-label cell in it does
     not parse as a number.  Ragged rows, non-numeric feature cells, and
     non-finite numbers (nan, inf) among the features, or among the labels
-    when they parse as numbers, raise with the 1-based line number.  Labels
+    when they parse as numbers, raise with the 1-based file line on which
+    the row's record ends (a quoted cell may span lines).  Labels
     parse as floats when every label does, otherwise they stay strings.
     Returns (X, labels-or-None).
     """
     with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
     width = len(rows[0][1])
@@ -114,6 +117,104 @@ def _sigmoid(z):
     return out
 
 
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 constants
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _uint32_words(value):
+    """The little-endian uint32 words of a non-negative int, as numpy seeds read it; 0 is [0]."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 arrays."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 state step, state * M + inc mod 2^128, on uint64 halves."""
+    hi = _mulhi64(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _first_double(words):
+    """np.random.default_rng(entropy_r).random() for each r, where words[j][r] is entropy_r[j].
+
+    words is a list of equal-length uint32 arrays.  All arithmetic wraps:
+    uint32 in the seed hashing, uint64 halves of PCG64's 128-bit state.
+    """
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[j] if j < len(words) else zero) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = []
+    for k in range(8):
+        v = pool[k % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h
+        state.append((v ^ (v >> 16)).astype(np.uint64))
+    s0, s1, s2, s3 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    lo = inc_lo + s1
+    hi = inc_hi + s0 + (lo < inc_lo)
+    for _ in range(2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    x, r = hi ^ lo, hi >> 58
+    out = x >> r | x << (64 - r & 63)
+    return (out >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _row_uniforms(seed, rows):
+    """np.random.default_rng([seed, i]).random() for each row index i, bit for bit.
+
+    Replays numpy's SeedSequence hashing, PCG64 seeding and first double on
+    arrays of rows instead of building one generator per row.  The entropy
+    is seed's uint32 words then i's, so rows of one word and of two are
+    drawn apart.
+    """
+    head = [np.uint32(w) for w in _uint32_words(operator.index(seed))]
+    rows = np.asarray(rows, dtype=np.uint64)
+    out = np.empty(rows.shape)
+    wide = rows > _M32
+    for sel, count in ((~wide, 1), (wide, 2)):
+        r = rows[sel]
+        tail = [(r >> 32 * k & _M32).astype(np.uint32) for k in range(count)]
+        out[sel] = _first_double([np.broadcast_to(w, r.shape) for w in head] + tail)
+    return out
+
+
 @dataclass(eq=False)
 class ResampleResult:
     """Kept rows after biased subsampling, with alignment and diagnostics."""
@@ -128,8 +229,9 @@ class ResampleResult:
 def pca_resample(X, labels, a, b, seed):
     """Keep row i with probability sigmoid((a * <x_i - mean, e1> - b) / sigma_v).
 
-    The Bernoulli draw for row i comes from a generator keyed by
-    (seed, i), so one row's decision never depends on the others.
+    The Bernoulli draw for row i is the first uniform of the generator
+    np.random.default_rng([seed, i]), computed for all rows at once, so one
+    row's decision never depends on the others.
     """
     X = as_sample_matrix(X, "X")
     if labels is not None and len(labels) != X.shape[0]:
@@ -137,7 +239,7 @@ def pca_resample(X, labels, a, b, seed):
     e1, sigma_v = first_pc(X)
     proj = (X - X.mean(axis=0)) @ e1
     probs = _sigmoid((a * proj - b) / sigma_v)
-    u = np.array([np.random.default_rng([seed, i]).random() for i in range(X.shape[0])])
+    u = _row_uniforms(seed, np.arange(X.shape[0]))
     mask = u < probs
     if not mask.any():
         raise ValueError("resampling kept no rows; loosen a or b")

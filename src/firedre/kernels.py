@@ -58,9 +58,11 @@ def _sq_dists(A, B):
     # added in the fixed order k = 0, 1, ..., d-1.  It depends on rows i and
     # j alone, so the result does not depend on the block size, D(A, B) is
     # exactly D(B, A).T (negating a difference is exact), and the diagonal
-    # of D(A, A) is exactly zero.
+    # of D(A, A) is exactly zero.  B's coordinates are read from the rows of
+    # one contiguous copy of B.T, not as strided columns of B.
     n, d = A.shape
     m = B.shape[0]
+    Bt = np.ascontiguousarray(B.T)
     out = np.empty((n, m))
     block = max(1, _BLOCK_ELEMS // max(1, m))
     scratch = np.empty((min(block, n), m))
@@ -68,10 +70,10 @@ def _sq_dists(A, B):
         stop = min(start + block, n)
         acc = out[start:stop]
         tmp = scratch[: stop - start]
-        np.subtract(A[start:stop, :1], B[:, 0], out=acc)
+        np.subtract(A[start:stop, :1], Bt[0], out=acc)
         np.multiply(acc, acc, out=acc)
         for k in range(1, d):
-            np.subtract(A[start:stop, k : k + 1], B[:, k], out=tmp)
+            np.subtract(A[start:stop, k : k + 1], Bt[k], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             acc += tmp
     return out

@@ -11,8 +11,10 @@ held-out J over a (t, lambda) grid.
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -292,24 +294,56 @@ def _values_at(estimates, X, centers, sq):
     return out
 
 
-def _cell_scores(fit, z_p, z_q, t, lams, train_idx, val_idx, U_val, U_q, D_pp, D_pq):
+def _fold_slices(z_p, D_pp, D_pq, train_idx, val_idx):
+    """A fold's points and the distance slices every cell of the fold reads.
+
+    Returns (z_train, z_val, sq_pp, sq_pq, sq_val): the training and
+    validation points, and the train x train, train x q and val x train
+    slices of D_pp = D(z_p, z_p) and D_pq = D(z_p, z_q) (sq_pq None when
+    D_pq is).  np.take along each axis gives the slices in C order, which
+    gaussian_kernel_matrix reads without a transposing copy.
+    """
+    sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
+    sq_pp = D_pp.take(train_idx, 0).take(train_idx, 1)
+    sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
+    return z_p[train_idx], z_p[val_idx], sq_pp, sq_pq, sq_val
+
+
+class _Fold:
+    """One fold's slices, gathered by the first of its cells to run and dropped after the last."""
+
+    def __init__(self, gather, cells):
+        self._gather = gather
+        self._left = cells
+        self._slices = None
+        self._lock = threading.Lock()
+
+    def take(self):
+        with self._lock:
+            if self._slices is None:
+                self._slices = self._gather()
+            return self._slices
+
+    def done(self):
+        with self._lock:
+            self._left -= 1
+            if not self._left:
+                self._slices = None
+
+
+def _cell_scores(fit, z_q, t, lams, U_val, U_q, z_train, z_val, sq_pp, sq_pq, sq_val):
     """Held-out J for one (fold, t) against every lam; failures give +inf.
 
-    D_pp and D_pq are the squared distances of z_p to z_p and to z_q (D_pq
-    None when the fit reads no sq_pq).  Every Gram of the cell is built from
-    index slices of them; np.take along each axis gives the slices in C
-    order, which gaussian_kernel_matrix reads without a transposing copy.
+    The fold's points and distance slices are as _fold_slices returns them,
+    and every Gram of the cell is built from the slices.
     """
     L = len(lams)
     out = np.full(L, np.inf)
-    z_train = z_p[train_idx]
-    sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
     try:
-        estimates = fit(z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), sq_pq)
+        estimates = fit(z_train, z_q, t, lams, sq_pp, sq_pq)
     except _CELL_ERRORS:
         return out
-    sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
-    for j, f_val in enumerate(_values_at(estimates, z_p[val_idx], z_train, sq_val)):
+    for j, f_val in enumerate(_values_at(estimates, z_val, z_train, sq_val)):
         if f_val is None or not np.all(np.isfinite(f_val)):
             continue
         score = j_score(f_val, U_val, U_q)
@@ -333,7 +367,10 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
     D_pq = D(z_p, z_q) are computed once per call, n^2 + n m floats.  Each
     cell calls fit(z_p_train, z_q, t, lams, sq_pp, sq_pq) with index slices
     of them, which are bitwise the distances of the subsets, and builds its
-    validation x train Gram from a slice of D_pp too.
+    validation x train Gram from a slice of D_pp too.  A fold's slices are
+    gathered once, by the first of its cells to run, shared by its T cells
+    and dropped after the last; the cells run in fold order, so only folds
+    with a cell running hold slices.
     """
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
@@ -354,21 +391,22 @@ def kfold_cv(z_p, z_q, fit, t_grid, lam_grid, validation, folds=5, seed=0, threa
 
     T, L = t_grid.size, lam_grid.size
     fold_scores = np.full((T, L, folds), np.inf)
-    tasks = []
-    for f, val_idx in enumerate(fold_parts):
-        train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=False)
-        U_val = validation.evaluate(z_p[val_idx])
-        for it, t in enumerate(t_grid):
-            tasks.append((f, it, t, train_idx, val_idx, U_val))
-
     D_pp = _sq_dists(z_p, z_p)
     D_pq = _sq_dists(z_p, z_q) if getattr(fit, "reads_sq_pq", True) else None
+    cells = []
+    for f, val_idx in enumerate(fold_parts):
+        train_idx = np.setdiff1d(all_idx, val_idx, assume_unique=False)
+        fold = _Fold(partial(_fold_slices, z_p, D_pp, D_pq, train_idx, val_idx), T)
+        U_val = validation.evaluate(z_p[val_idx])
+        cells.extend((f, it, t, fold, U_val) for it, t in enumerate(t_grid))
 
-    def run(task):
-        f, it, t, train_idx, val_idx, U_val = task
-        return f, it, _cell_scores(fit, z_p, z_q, t, lam_grid, train_idx, val_idx, U_val, U_q, D_pp, D_pq)
+    def run(cell):
+        f, it, t, fold, U_val = cell
+        row = _cell_scores(fit, z_q, t, lam_grid, U_val, U_q, *fold.take())
+        fold.done()
+        return f, it, row
 
-    for f, it, row in run_cells(run, tasks, threads):
+    for f, it, row in run_cells(run, cells, threads):
         fold_scores[it, :, f] = row
 
     scores = fold_scores.mean(axis=2)

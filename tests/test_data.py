@@ -3,6 +3,7 @@ import pytest
 
 from firedre.baselines import GaussianDensity
 from firedre.data import (
+    _row_uniforms,
     first_pc,
     label_resample,
     load_csv,
@@ -77,6 +78,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError) as exc:
             load_csv(path, label_column=label_column)
         assert str(exc.value) == f"{path}: {where}"
+
+    @pytest.mark.parametrize(
+        "bad_row, where",
+        [
+            ("3,oops,z", "non-numeric value 'oops' in column 1"),
+            ("3,inf,z", "non-finite value 'inf' in column 1"),
+            ("3,4", "expected 3 fields, got 2"),
+        ],
+    )
+    def test_line_counts_file_lines_not_records(self, tmp_path, bad_row, where):
+        # the quoted label on line 2 spans two file lines, so the bad row is line 4, not record 3
+        path = write(tmp_path, f'x0,x1,y\n1,2,"x\ny"\n{bad_row}\n')
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, label_column=2)
+        assert str(exc.value) == f"{path}: line 4: {where}"
 
     def test_nan_string_label_stays_a_string(self, tmp_path):
         # labels that do not all parse as numbers are strings, and "nan" is one of them
@@ -161,6 +177,23 @@ class TestPcaResample:
         assert np.array_equal(res.X, X[mask])
         assert np.array_equal(res.e1, e1)
         assert res.sigma_v == sigma_v
+
+    @pytest.mark.parametrize("seed", [0, 99, 2**32 + 5, 2**64 - 1, 2**70 + 3])
+    def test_row_uniforms_equal_per_row_generators_bitwise(self, seed):
+        # seeds of one, two and three uint32 words; rows of one and two words
+        rows = [0, 1, 2, 17, 2**32 - 1, 2**32, 2**40]
+        u = _row_uniforms(seed, np.array(rows, dtype=np.uint64))
+        expected = np.array([np.random.default_rng([seed, i]).random() for i in rows])
+        assert u.tobytes() == expected.tobytes()
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng([-1, 0])
+        X = np.random.default_rng(9).standard_normal((20, 2))
+        for call in (lambda: _row_uniforms(-1, [0]), lambda: pca_resample(X, None, a=1.0, b=0.0, seed=-1)):
+            with pytest.raises(ValueError) as ours:
+                call()
+            assert str(ours.value) == str(numpys.value)
 
     def test_deterministic(self):
         X = np.random.default_rng(4).standard_normal((50, 2))

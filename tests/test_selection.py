@@ -2,12 +2,14 @@ import dataclasses
 import os
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import firedre.cli as cli
+import firedre.kernels as kernels
 import firedre.selection as selection
 import firedre.solvers as solvers
 from firedre.config import SolverConfig
@@ -427,8 +429,6 @@ class TestDistanceRoute:
         }
 
     def spy_sq_dists(self, monkeypatch):
-        import firedre.kernels as kernels
-
         calls = {"selection": [], "kernels": []}
         sq_dists = kernels._sq_dists
 
@@ -501,6 +501,86 @@ class TestDistanceRoute:
         self.cv(fit_factory("type1"), threads=threads)
         assert seen == [(1, True)] * (3 * len(self.GRID[0]))
         assert blas_thread_count() == caller_blas_threads
+
+
+def per_cell_fold_scores(z_p, z_q, fit, t_grid, lams, validation, folds, seed):
+    """kfold_cv's fold_scores with every (fold, t) cell gathering its own slices, written out."""
+    n, T, L = z_p.shape[0], len(t_grid), len(lams)
+    D_pp = kernels._sq_dists(z_p, z_p)
+    D_pq = kernels._sq_dists(z_p, z_q) if fit.reads_sq_pq else None
+    U_q = validation.evaluate(z_q)
+    out = np.full((T, L, folds), np.inf)
+    perm = np.random.default_rng(seed).permutation(n)
+    with blas_threads(1):
+        for f, val_idx in enumerate(np.array_split(perm, folds)):
+            train_idx = np.setdiff1d(np.arange(n), val_idx)
+            U_val = validation.evaluate(z_p[val_idx])
+            for it, t in enumerate(t_grid):
+                z_train = z_p[train_idx]
+                sq_pq = None if D_pq is None else D_pq.take(train_idx, 0)
+                estimates = fit(z_train, z_q, t, lams, D_pp.take(train_idx, 0).take(train_idx, 1), sq_pq)
+                sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
+                G = gaussian_kernel_matrix(z_p[val_idx], z_train, estimates[0].kernel, sq=sq_val)
+                for j, est in enumerate(estimates):
+                    out[it, j, f] = j_score(est.values(G), U_val, U_q)
+    return out
+
+
+class TestFoldSlices:
+    """kfold_cv gathers each fold's distance slices once and shares them among the fold's cells."""
+
+    GRID = ([0.3, 0.8, 2.0, 5.0], [1e-4, 1e-6, 1e-8])
+    CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+    def problem(self):
+        z_p, z_q = small_problem(14, n=40, m=36, d=3)
+        return z_p, z_q, make_validation_set("linear", d=3, count=5, seed=4)
+
+    @pytest.mark.parametrize("threads", [1, CPUS + 3])
+    def test_one_train_slice_per_fold(self, threads):
+        z_p, z_q, vs = self.problem()
+        type1 = fit_factory("type1")
+        lock = threading.Lock()
+        seen = []  # (training points, sq_pp); the arrays stay alive, so their ids stay distinct
+
+        def spy(z_p_train, z_q, t, lams, sq_pp, sq_pq):
+            with lock:
+                seen.append((z_p_train.tobytes(), sq_pp))
+            return type1(z_p_train, z_q, t, lams, sq_pp, sq_pq)
+
+        spy.reads_sq_pq = True
+        kfold_cv(z_p, z_q, spy, *self.GRID, vs, folds=4, seed=2, threads=threads)
+        assert len(seen) == 4 * len(self.GRID[0])
+        by_fold = {}
+        for train, sq_pp in seen:
+            by_fold.setdefault(train, set()).add(id(sq_pp))
+        assert len(by_fold) == 4
+        assert [len(ids) for ids in by_fold.values()] == [1] * 4
+        assert len({id(sq_pp) for _, sq_pp in seen}) == 4
+
+    def test_fold_slices_dropped_after_its_last_cell(self):
+        z_p, z_q, vs = self.problem()
+        type1 = fit_factory("type1")
+        refs, live = [], []
+
+        def spy(z_p_train, z_q, t, lams, sq_pp, sq_pq):
+            refs.append(weakref.ref(sq_pp))
+            live.append(len({id(r()) for r in refs if r() is not None}))
+            return type1(z_p_train, z_q, t, lams, sq_pp, sq_pq)
+
+        spy.reads_sq_pq = True
+        kfold_cv(z_p, z_q, spy, *self.GRID, vs, folds=4, seed=2, threads=1)
+        assert live == [1] * (4 * len(self.GRID[0]))
+
+    @pytest.mark.parametrize("setting", ["type1", "type2"])
+    @pytest.mark.parametrize("threads", [1, CPUS + 3])
+    def test_fold_scores_equal_per_cell_oracle_bitwise(self, setting, threads):
+        z_p, z_q, vs = self.problem()
+        fit = fit_factory(setting, q_fn=gaussian_q)
+        res = kfold_cv(z_p, z_q, fit, *self.GRID, vs, folds=4, seed=2, threads=threads)
+        oracle = per_cell_fold_scores(z_p, z_q, fit, *self.GRID, vs, folds=4, seed=2)
+        assert np.isfinite(oracle).all()
+        assert np.array_equal(res.fold_scores, oracle)
 
 
 class TestFitFactory:
