@@ -9,8 +9,8 @@ interpreter start-up):
   acceptance check)
 - simulate_n300_3methods_t2: `simulate` of fire (type15), tikde and lsif at
   n = m = 300, eval_n = 2000, 2 repetitions, --threads 2 (the sizes of the
-  benchmark's simulate-1d workload; the three methods read the same
-  evaluation Grams)
+  benchmark's simulate-1d workload; a trial computes its squared distances
+  once and reads them in row blocks of the evaluation points)
 - estimate_n1000_d1_t1 / _t2: `estimate` at n = m = 1000, d = 1, default
   grids and CV, --threads 1 and 2
 - estimate_rkhs_loss_n1000_d1_t1 / estimate_combined_n1000_d1_t1: the same

@@ -1,5 +1,10 @@
 """Time the spectral layer, the regularization path and the CV grid at fixed, named sizes.
 
+The CV sizes are timed first, before anything else has run in the process:
+after the n = 2000 eigendecompositions, whose large frees leave the
+allocator warm, a CV grid whose cells allocate fresh pages reads less than
+it costs a real `estimate`.
+
 For each size (n p-points and m = 2n q-points in d dimensions, fixed seed)
 this builds K_pp = k(z_p, z_p) / n and the type1 target K_pq 1, then records
 the median over REPEATS calls, after one warm-up call, of:
@@ -44,6 +49,14 @@ serially, with the selected cell:
 - cv_estimate_d1: 800 p-points from N(0, 1) and 800 q-points from
   N(0.5, 0.8^2), normalized kernel, 50 linear validation functions: the CV
   subsets of `estimate` at n = m = 1000, d = 1
+
+For the simulate trial it records, as trial_ms, the median over REPEATS
+calls of `cli._bench_trial` with fire (type15), tikde and lsif over the
+ten-value `bandwidth_grid` of the p-points and the six-value lambda grid:
+
+- simulate_trial_n300_m300_eval2000: n = m = 300 and 2000 evaluation
+  points of the paper's dataset 1, the sizes of one trial of the
+  benchmark's simulate-1d workload
 
 For each final-fit size (n p-points and m q-points with the coordinate
 spreads of shift-5d's data, unnormalized kernel at bandwidth t) it records
@@ -113,6 +126,10 @@ CV_SIZES = (
     ("cv_shift5d", 400, 400, 5, False, 20),
     ("cv_estimate_d1", 800, 800, 1, True, 50),
 )
+# (name, n p-points, m q-points, evaluation points) of the simulate-trial layer
+TRIAL_SIZES = (
+    ("simulate_trial_n300_m300_eval2000", 300, 300, 2000),
+)
 # (name, n p-points, m q-points, d, t, lambda) of the final-fit layer
 FINAL_FIT_SIZES = (
     ("final_fit_n1378_d5", 1378, 2000, 5, 1.0, 1e-7),
@@ -152,6 +169,13 @@ def cv_samples(rng, n, m, d):
     return rng.standard_normal((n, 1)), rng.normal(0.5, 0.8, (m, 1))
 
 
+def dataset1(baselines):
+    """p and q of the paper's dataset 1: a two-component Gaussian mixture and N(0, 0.5^2)."""
+    p = baselines.MixtureDensity(weights=(0.5, 0.5), components=(
+        baselines.GaussianDensity(mean=(-2.0,), std=1.0), baselines.GaussianDensity(mean=(2.0,), std=0.5)))
+    return p, baselines.GaussianDensity(mean=(0.0,), std=0.5)
+
+
 def route(solvers, linalg, path, n):
     """How path() solves its lambda grid: "rank r", "tridiagonal" or "eigh"."""
     with mock.patch.object(solvers, "eigh_descending", side_effect=linalg.eigh_descending) as eigh:
@@ -163,13 +187,28 @@ def route(solvers, linalg, path, n):
 
 
 def run():
-    from firedre import baselines, data, kernels, linalg, selection, solvers
+    from firedre import baselines, cli, data, kernels, linalg, selection, solvers
 
-    rng = np.random.default_rng(0)
     lams = np.asarray(LAMS)
     results = {}
     with linalg.blas_threads(1):
         inside = linalg.blas_thread_count()
+        rng = np.random.default_rng(1)
+        for name, n, m, d, normalized, count in CV_SIZES:
+            z_p, z_q = cv_samples(rng, n, m, d)
+            t_grid = kernels.bandwidth_grid(z_p)[1]
+            fit = selection.fit_factory("type1", normalized=normalized)
+            validation = selection.make_validation_set("linear", d, count, seed=1)
+
+            def cv():
+                return selection.kfold_cv(z_p, z_q, fit, t_grid, lams, validation, folds=5, seed=2)
+
+            res = cv()
+            results[name] = {
+                "n": n, "m": m, "d": d, "normalized": normalized, "validation": count,
+                "kfold_cv_ms": median_ms(cv), "selected": [res.selected_t, res.selected_lam],
+            }
+        rng = np.random.default_rng(0)
         for name, n, d, t, normalized in SIZES:
             z_p, z_q = samples(rng, n, d)
             k = kernels.KernelSpec(t=t, normalized=normalized)
@@ -213,21 +252,20 @@ def run():
             else:
                 row["lsif_dense_ms"] = row["lsif_ms"]
             results[name] = row
-        rng = np.random.default_rng(1)
-        for name, n, m, d, normalized, count in CV_SIZES:
-            z_p, z_q = cv_samples(rng, n, m, d)
+        p, q = dataset1(baselines)
+        oracle = baselines.true_ratio(p, q)
+        rng = np.random.default_rng(4)
+        for name, n, m, eval_n in TRIAL_SIZES:
+            z_p, z_q, eval_X = p.sample(n, rng), q.sample(m, rng), q.sample(eval_n, rng)
+            r_eval = oracle.evaluate(eval_X)
             t_grid = kernels.bandwidth_grid(z_p)[1]
-            fit = selection.fit_factory("type1", normalized=normalized)
-            validation = selection.make_validation_set("linear", d, count, seed=1)
+            fit = selection.fit_factory("type15")
 
-            def cv():
-                return selection.kfold_cv(z_p, z_q, fit, t_grid, lams, validation, folds=5, seed=2)
+            def trial():
+                return cli._bench_trial(("fire", "tikde", "lsif"), z_p, z_q, eval_X, r_eval, t_grid, lams, fit)
 
-            res = cv()
-            results[name] = {
-                "n": n, "m": m, "d": d, "normalized": normalized, "validation": count,
-                "kfold_cv_ms": median_ms(cv), "selected": [res.selected_t, res.selected_lam],
-            }
+            results[name] = {"n": n, "m": m, "eval_n": eval_n, "trial_ms": median_ms(trial),
+                             "errors": {method: best[0] for method, best in trial().items()}}
         rng = np.random.default_rng(2)
         for name, n, m, d, t, lam in FINAL_FIT_SIZES:
             z_p, z_q = cv_samples(rng, n, m, d)
@@ -295,6 +333,9 @@ def main(argv=None):
             continue
         if "pca_resample_ms" in r:
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")
+            continue
+        if "trial_ms" in r:
+            print(f"{args.label:>8} {name:>14}  _bench_trial {r['trial_ms']:9.2f} ms  errors {r['errors']}")
             continue
         if "sq_dists_ms" in r:
             print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms")

@@ -146,9 +146,13 @@ def tikde(z_p, z_q, t, epsilon):
     return TikdeRatio(z_p=z_p, z_q=z_q, kernel=k, epsilon=float(epsilon))
 
 
-def tikde_epsilon_grid(z_p, t):
-    """Threshold grid {1e-1, ..., 1e-6} * max of the p-density estimate over z_p."""
-    p_hat = kde(z_p, z_p, KernelSpec(t=float(t)))
+def tikde_epsilon_grid(z_p, t, sq_pp=None):
+    """Threshold grid {1e-1, ..., 1e-6} * max of the p-density estimate over z_p.
+
+    ``sq_pp``, when given, is _sq_dists(z_p, z_p), and the estimate's Gram
+    is built from it with the same bits.
+    """
+    p_hat = gaussian_kernel_matrix(z_p, z_p, KernelSpec(t=float(t)), sq=sq_pp).mean(axis=1)
     return float(p_hat.max()) * np.power(10.0, -np.arange(1, 7, dtype=np.float64))
 
 
@@ -167,7 +171,7 @@ class LsifRatio:
         return out
 
 
-def lsif_unconstrained(z_p, z_q, t, lam):
+def lsif_unconstrained(z_p, z_q, t, lam, sq_qp=None, sq_qq=None):
     """Least-squares importance fitting without the nonnegativity constraint.
 
     Basis functions are k_t(x'_l, .) at every q-point.  Solves
@@ -183,6 +187,11 @@ def lsif_unconstrained(z_p, z_q, t, lam):
     H of low-dimensional data), each lam is solved by _low_rank_solve; a lam
     it does not solve, and every lam when the factor gives up, takes the
     dense solve of H + lam I.
+
+    ``sq_qp`` and ``sq_qq``, when given, are the squared distances
+    _sq_dists(z_q, z_p) (or the transpose view of _sq_dists(z_p, z_q), which
+    is bitwise the same) and _sq_dists(z_q, z_q); the Grams are then built
+    from them with the same bits.
     """
     single = np.ndim(lam) == 0
     lams = _check_lams(np.atleast_1d(lam))
@@ -190,10 +199,10 @@ def lsif_unconstrained(z_p, z_q, t, lam):
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
-    Phi = gaussian_kernel_matrix(z_q, z_p, k)  # (m, n)
+    Phi = gaussian_kernel_matrix(z_q, z_p, k, sq=sq_qp)  # (m, n)
     H = (Phi @ Phi.T) / n
     del Phi  # the solves read only H and h
-    h = gaussian_kernel_matrix(z_q, z_q, k).mean(axis=1)
+    h = gaussian_kernel_matrix(z_q, z_q, k, sq=sq_qq).mean(axis=1)
     L = pivoted_cholesky(H, RANK_TOL, m // 3)
     if L is not None:
         core = L @ L.T

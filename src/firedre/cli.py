@@ -11,8 +11,10 @@ BLAS results can change with either).  --threads (default: the usable
 CPUs) changes no output bit: CV cells and simulate trials always run on one
 BLAS thread, whatever the number of workers; the final fit and evaluation
 run on the process's BLAS thread count, which OPENBLAS_NUM_THREADS still
-sets.  A simulate trial builds each evaluation Gram once per bandwidth and
-shares it among the methods whose kernels are equal.
+sets.  A simulate trial computes its squared distances once, those among
+its samples for every fit and those of each row block of the evaluation
+sample to them, and builds each distinct kernel's Gram once per (block,
+bandwidth) from them, shared by the methods whose kernels are equal.
 """
 
 import argparse
@@ -37,7 +39,7 @@ from .config import (
 )
 from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
-from .kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix
+from .kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError
 from .selection import SETTINGS, FitOptions, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
@@ -238,81 +240,125 @@ def run_cv(cfg: EstimateConfig, out_dir, threads=1):
     return run_estimate(cfg, out_dir, threads=threads, final=False, command="cv")
 
 
-def _share_grams(X, Y, readers):
-    """Call read(G) with G = k(X, Y) for each (k, read) in readers.
+# target rows per block of a simulate trial's evaluation sample
+_EVAL_BLOCK = 256
+# OpenBLAS (SkylakeX and later cores) routes a dgemm of at most 100^3
+# multiply-adds to its small-matrix kernels, which add in another order than
+# its blocked kernels do
+_SMALL_GEMM = 100 ** 3
 
-    Each distinct kernel spec's Gram is built once and dropped before the
-    next is built, so at most one of them is alive at a time.
+
+def _eval_blocks(rows, cols):
+    """Row slices of a trial's evaluation sample, of about _EVAL_BLOCK rows or more.
+
+    ``cols`` is n * L of fire's (rows x n) @ (n x L) predictions, 0 without
+    fire.  Where that whole product is larger than _SMALL_GEMM, so is each
+    block's, and the blocks take the whole product's dgemm route.  Every
+    slice but the last starts and ends at a multiple of 64, so each row keeps
+    its place modulo the vector widths and unrolling of the elementwise loops
+    and of dgemv.  A block's values are then bitwise those rows of the whole
+    sample's.
     """
-    specs = []
-    for spec, _ in readers:
-        if spec not in specs:
-            specs.append(spec)
-    for spec in specs:
-        G = gaussian_kernel_matrix(X, Y, spec)
-        for k, read in readers:
-            if k == spec:
-                read(G)
-        del G
+    min_rows = _EVAL_BLOCK - 64
+    if rows * cols > _SMALL_GEMM:
+        min_rows = max(min_rows, _SMALL_GEMM // cols + 1)
+    k = max(1, rows // (min_rows + 64))  # each of the k slices then has at least min_rows rows
+    edges = [64 * (i * rows // (64 * k)) for i in range(k)] + [rows]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _block_grams(eval_X, Z, blocks, kernels_at):
+    """Yield (rows, it, spec, k(eval_X[rows], Z)) for each row block, t index and distinct spec of kernels_at[it].
+
+    D(eval_X[rows], Z) is computed once per block, and each Gram is built
+    from it; the caller drops a Gram before asking for the next, so one is
+    alive at a time.
+    """
+    for rows in blocks:
+        X = eval_X[rows]
+        sq = _sq_dists(X, Z)
+        for it, specs in enumerate(kernels_at):
+            for spec in dict.fromkeys(specs):
+                yield rows, it, spec, gaussian_kernel_matrix(X, Z, spec, sq=sq)
+        del sq
 
 
 def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
-    """Oracle-selected (error, t, param) per method, in one walk over t_grid.
+    """Oracle-selected (error, t, param) per method, from distances computed once.
 
-    For each t, k_t(eval_X, z_p) serves fire's predictions and TIKDE's
-    p-density, and k_t(eval_X, z_q) TIKDE's q-density and LSIF's predictions;
-    a Gram is shared only between readers with equal kernel specs.  A fire
-    fit that fails at some t skips only fire at that t.  A ratio is
+    The squared distances D(z_p, z_p), D(z_p, z_q) and D(z_q, z_q) are
+    computed once, and every fit at every t builds its Grams from them:
+    fire's path, TIKDE's threshold grid and LSIF's lambda list.  Then the
+    predictions at eval_X are computed in row blocks (_eval_blocks), first
+    against z_q (TIKDE's q-density, LSIF's predictions), then against z_p
+    (fire's predictions, TIKDE's p-density): per block, the distances to
+    z_q or z_p are computed once, and per t each distinct kernel's Gram is
+    built once from them.  A method is scored once its predictions are
+    complete, per t and then per lambda or epsilon, and every error is
+    bitwise what whole evaluation Grams built from the points give.
+
+    A fire fit that fails at some t skips only fire at that t.  A ratio is
     nonnegative, so every method's predictions are clamped at zero before
     scoring (TIKDE is nonnegative by construction, this only affects the
     linear-system estimators).
     """
+    use_fire, use_tikde, use_lsif = ("fire" in methods), ("tikde" in methods), ("lsif" in methods)
+    T, N, n, L = len(t_grid), eval_X.shape[0], z_p.shape[0], len(lam_grid)
+    specs = [KernelSpec(t=float(t)) for t in t_grid]
+    sq_pp = _sq_dists(z_p, z_p) if use_fire or use_tikde else None
+    sq_pq = _sq_dists(z_p, z_q) if use_lsif or (use_fire and getattr(fit, "reads_sq_pq", True)) else None
+    sq_qq = _sq_dists(z_q, z_q) if use_lsif else None
+
+    fire = [None] * T  # per t: (kernel, coefficients n x L), None where the fit fails
+    for it, t in enumerate(t_grid if use_fire else ()):
+        try:
+            ests = fit(z_p, z_q, float(t), lam_grid, sq_pp=sq_pp, sq_pq=sq_pq)
+        except (NumericalError, np.linalg.LinAlgError):
+            continue
+        fire[it] = (ests[0].kernel, np.stack([e.v if e.scale == "plain" else e.v / n for e in ests], axis=1))
+    lsif = [lsif_unconstrained(z_p, z_q, t, lam_grid, sq_qp=sq_pq.T, sq_qq=sq_qq) for t in t_grid] if use_lsif else []
+    eps_grids = [tikde_epsilon_grid(z_p, t, sq_pp=sq_pp) for t in t_grid] if use_tikde else []
+    del sq_pp, sq_pq, sq_qq
+
     best = {method: (np.inf, np.nan, np.nan) for method in methods}
 
     def offer(method, err, t, param):
         if err < best[method][0]:
             best[method] = (float(err), float(t), float(param))
 
-    for t in t_grid:
-        k = KernelSpec(t=float(t))
-        on_p, on_q = [], []  # (kernel spec, reader) of the Grams against z_p and z_q
-        p_hat = None
-
-        def score_fire(G):
-            errs = np.mean((np.maximum(G @ V, 0.0) - r_eval[:, None]) ** 2, axis=0)
-            j = int(np.argmin(errs))
-            offer("fire", errs[j], t, lam_grid[j])
-
-        def read_p_hat(G):
-            nonlocal p_hat
-            p_hat = G.mean(axis=1)
-
-        def score_tikde(G):
-            q_hat = G.mean(axis=1)
-            for eps in tikde_epsilon_grid(z_p, t):
-                offer("tikde", float(np.mean((q_hat / np.maximum(p_hat, eps) - r_eval) ** 2)), t, eps)
-
-        def score_lsif(G):
-            for lam, est in zip(lam_grid, fits):
+    blocks = _eval_blocks(N, n * L if use_fire else 0)
+    if use_tikde or use_lsif:
+        q_hat = np.empty((T, N)) if use_tikde else None
+        preds = np.empty((T, L, N)) if use_lsif else None  # LSIF's, each lambda's row contiguous
+        for rows, it, _, G in _block_grams(eval_X, z_q, blocks, [[k] for k in specs]):
+            if use_tikde:
+                q_hat[it, rows] = G.mean(axis=1)
+            for j, est in enumerate(lsif[it] if use_lsif else ()):
                 if est is not None:
-                    offer("lsif", float(np.mean((np.maximum(G @ est.alpha, 0.0) - r_eval) ** 2)), t, lam)
-
-        if "fire" in methods:
-            try:
-                ests = fit(z_p, z_q, float(t), lam_grid)
-            except (NumericalError, np.linalg.LinAlgError):
-                pass
-            else:
-                V = np.stack([e.v if e.scale == "plain" else e.v / z_p.shape[0] for e in ests], axis=1)
-                on_p.append((ests[0].kernel, score_fire))
-        if "tikde" in methods:
-            on_p.append((k, read_p_hat))
-            on_q.append((k, score_tikde))
-        if "lsif" in methods:
-            fits = lsif_unconstrained(z_p, z_q, t, lam_grid)
-            on_q.append((k, score_lsif))
-        _share_grams(eval_X, z_p, on_p)
-        _share_grams(eval_X, z_q, on_q)
+                    preds[it, j, rows] = G @ est.alpha
+            del G
+        for it, t in enumerate(t_grid if use_lsif else ()):
+            for j, (lam, est) in enumerate(zip(lam_grid, lsif[it])):
+                if est is not None:
+                    offer("lsif", float(np.mean((np.maximum(preds[it, j], 0.0) - r_eval) ** 2)), t, lam)
+        del preds  # no view of it is left, so the memory goes before the z_p side's blocks
+    if use_fire or use_tikde:
+        p_hat = np.empty((T, N)) if use_tikde else None
+        preds = np.empty((T, N, L)) if use_fire else None  # fire's
+        on_p = [([fire[it][0]] if fire[it] else []) + ([k] if use_tikde else []) for it, k in enumerate(specs)]
+        for rows, it, spec, G in _block_grams(eval_X, z_p, blocks, on_p):
+            if fire[it] and spec == fire[it][0]:
+                preds[it, rows] = G @ fire[it][1]
+            if use_tikde and spec == specs[it]:
+                p_hat[it, rows] = G.mean(axis=1)
+            del G
+        for it, t in enumerate(t_grid):
+            if fire[it]:
+                errs = np.mean((np.maximum(preds[it], 0.0) - r_eval[:, None]) ** 2, axis=0)
+                j = int(np.argmin(errs))
+                offer("fire", errs[j], t, lam_grid[j])
+            for eps in eps_grids[it] if use_tikde else ():
+                offer("tikde", float(np.mean((q_hat[it] / np.maximum(p_hat[it], eps) - r_eval) ** 2)), t, eps)
     return best
 
 

@@ -13,7 +13,7 @@ from firedre.baselines import (
     tikde_epsilon_grid,
     true_ratio,
 )
-from firedre.kernels import KernelSpec, bandwidth_grid, gaussian_kernel_matrix, kde
+from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, kde
 from firedre.linalg import NumericalError
 
 
@@ -341,6 +341,29 @@ class TestLsifLowRank:
             lsif_unconstrained(z, z, t=1.0, lam=[])
         with pytest.raises(ValueError, match="non-empty"):
             lsif_unconstrained(z, z, t=1.0, lam=np.array([[1e-3]]))
+
+
+class TestSharedDistances:
+    """The squared distances a simulate trial computes once give every baseline fit the same bits."""
+
+    def test_lsif_from_distances_is_bitwise(self, sim_1d):
+        z_p, z_q, _ = sim_1d
+        small_q = z_q[:40]  # m // 3 = 13: the factor gives up and every lam takes the dense solve
+        for q in (z_q, small_q):
+            sq_qp = _sq_dists(z_p, q).T
+            sq_qq = _sq_dists(q, q)
+            for t in bandwidth_grid(z_p)[1][::3]:
+                plain = lsif_unconstrained(z_p, q, t, SIM_LAMS)
+                shared = lsif_unconstrained(z_p, q, t, SIM_LAMS, sq_qp=sq_qp, sq_qq=sq_qq)
+                for a, b in zip(plain, shared):
+                    assert (a is None) == (b is None)
+                    assert a is None or (np.array_equal(a.alpha, b.alpha) and a.kernel == b.kernel)
+
+    def test_tikde_grid_from_distances_is_bitwise(self, sim_1d):
+        z_p = sim_1d[0]
+        sq_pp = _sq_dists(z_p, z_p)
+        for t in bandwidth_grid(z_p)[1]:
+            assert np.array_equal(tikde_epsilon_grid(z_p, t, sq_pp=sq_pp), tikde_epsilon_grid(z_p, t))
 
 
 class TestTrueRatio:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import firedre.cli as cli
+from firedre import kernels
 from firedre.baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from firedre.cli import derive_seed, main, write_csv, write_json
 from firedre.config import BenchConfig
@@ -222,9 +223,9 @@ class TestSimulateCommand:
         def spy_factory(*args, **kwargs):
             fit = factory(*args, **kwargs)
 
-            def spy_fit(*fit_args):
+            def spy_fit(*fit_args, **fit_kwargs):
                 seen.append(blas_thread_count())
-                return fit(*fit_args)
+                return fit(*fit_args, **fit_kwargs)
 
             return spy_fit
 
@@ -260,7 +261,7 @@ class TestThreadsDefault:
             assert a == b, name
 
 
-# === oracle: the per-method bandwidth loops the shared-Gram trial replaced ===
+# === oracle: per-method bandwidth loops over whole evaluation Grams built from the points ===
 
 
 def oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
@@ -359,8 +360,8 @@ class TestSharedGramTrial:
         cfg.update(over)
         return cfg
 
-    def assert_matches_oracle(self, tmp_path, cfg, out="out"):
-        out = run(tmp_path, "simulate", cfg, out=out, extra=("--threads", "2"))
+    def assert_matches_oracle(self, tmp_path, cfg, out="out", threads="2"):
+        out = run(tmp_path, "simulate", cfg, out=out, extra=("--threads", threads))
         assert (out / "bench.csv").read_bytes() == oracle_bench_csv(cfg, tmp_path / f"{out.name}_oracle.csv")
         return [line.split(",") for line in (out / "bench.csv").read_text().splitlines()[1:]]
 
@@ -380,6 +381,47 @@ class TestSharedGramTrial:
             solver["gamma"] = 0.5
         self.assert_matches_oracle(tmp_path, self.cfg(solver=solver))
 
+    SOLVERS = {
+        "type15": {"setting": "type15"},
+        "type15_unnormalized": {"setting": "type15", "normalized": False},
+        "combined_unnormalized": {"setting": "combined", "normalized": False, "gamma": 0.5},
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("eval_n, m", [(601, 60), (2000, 300)])
+    def test_several_row_blocks_match_oracle(self, tmp_path, eval_n, m, solver, threads):
+        lams = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+        # several blocks, the last one ragged; at n = 300 and eval_n = 2000 fire's products are large
+        assert len(cli._eval_blocks(eval_n, 70 * len(lams))) > 1 and eval_n % 64
+        assert eval_n < 2000 or len(cli._eval_blocks(eval_n, 300 * len(lams))) > 1
+        cfg = self.cfg(n_grid=[70, 300], m=m, repetitions=1, eval_n=eval_n, solver=self.SOLVERS[solver],
+                       grids={"t": self.T_GRID, "lambda": lams})
+        rows = self.assert_matches_oracle(tmp_path, cfg, threads=threads)
+        assert [r[0] for r in rows] == ["fire", "tikde", "lsif"] * 2
+
+    def test_large_fire_products_keep_their_dgemm_route(self, tmp_path):
+        # at n = 300, L = 3 fixed 256-row blocks would move fire's errors: the
+        # blocks' products would take OpenBLAS's small-matrix route, the whole's not
+        cfg = self.cfg(n_grid=[300], m=300, repetitions=1, eval_n=2400, methods=["fire"])
+        blocks = cli._eval_blocks(2400, 300 * len(cfg["grids"]["lambda"]))
+        assert len(blocks) > 1 and all(b.stop - b.start > cli._EVAL_BLOCK for b in blocks)
+        self.assert_matches_oracle(tmp_path, cfg, threads="1")
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_fire_path_from_trial_distances_is_bitwise(self, solver):
+        cfg = BenchConfig.from_dict(self.cfg(solver=self.SOLVERS[solver]))
+        s = cfg.solver
+        fit = cli.fit_factory(s.setting, gamma=s.gamma, t_prime_ratio=s.t_prime_ratio, normalized=s.normalized)
+        z_p = simulate(cfg.p_density, 70, 1)
+        z_q = simulate(cfg.q_density, 60, 2)
+        sq_pp, sq_pq = kernels._sq_dists(z_p, z_p), kernels._sq_dists(z_p, z_q)
+        lams = np.asarray(cfg.grids.lam)
+        for t in self.T_GRID:
+            for plain, shared in zip(fit(z_p, z_q, t, lams), fit(z_p, z_q, t, lams, sq_pp=sq_pp, sq_pq=sq_pq)):
+                assert np.array_equal(plain.v, shared.v)
+                assert (plain.kernel, plain.scale) == (shared.kernel, shared.scale)
+
     def test_failed_fire_fit_skips_only_fire_at_that_t(self, tmp_path, monkeypatch):
         cfg = self.cfg()
         counts = {}
@@ -392,10 +434,10 @@ class TestSharedGramTrial:
         def failing_factory(*args, **kwargs):
             fit = factory(*args, **kwargs)
 
-            def flaky_fit(z_p, z_q, t, lams):
+            def flaky_fit(z_p, z_q, t, lams, sq_pp=None, sq_pq=None):
                 if t == failing:
                     raise NumericalError("synthetic failure")
-                return fit(z_p, z_q, t, lams)
+                return fit(z_p, z_q, t, lams, sq_pp=sq_pp, sq_pq=sq_pq)
 
             return flaky_fit
 
@@ -407,22 +449,74 @@ class TestSharedGramTrial:
 
     @pytest.mark.parametrize("normalized, per_t", [(True, 2), (False, 3)])
     def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, per_t):
-        builds, alive = [], []
+        """One Gram per distinct kernel per (row block, t), each from the block's distances, none alive at once."""
         gram = cli.gaussian_kernel_matrix
+        for eval_n, blocks in ((90, 1), (601, 2)):
+            builds, alive = [], []
 
-        def spy(A, B, spec):
-            assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
-            G = gram(A, B, spec)
-            builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest(), spec))
-            alive.append(weakref.ref(G))
-            return G
+            def spy(A, B, spec, sq=None):
+                assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
+                assert sq is not None, "an evaluation Gram computes its own distances"
+                G = gram(A, B, spec, sq=sq)
+                assert G.shape[0] <= eval_n // blocks + 64
+                builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest(), spec))
+                alive.append(weakref.ref(G))
+                return G
 
-        monkeypatch.setattr(cli, "gaussian_kernel_matrix", spy)
-        cfg = self.cfg(solver={"setting": "type15", "normalized": normalized})
-        run(tmp_path, "simulate", cfg, extra=("--threads", "1"))
-        trials = len(cfg["n_grid"]) * cfg["repetitions"]
-        assert len(builds) == trials * len(self.T_GRID) * per_t
-        assert len(set(builds)) == len(builds)
+            monkeypatch.setattr(cli, "gaussian_kernel_matrix", spy)
+            cfg = self.cfg(solver={"setting": "type15", "normalized": normalized}, eval_n=eval_n)
+            run(tmp_path, "simulate", cfg, out=f"out{eval_n}", extra=("--threads", "1"))
+            trials = len(cfg["n_grid"]) * cfg["repetitions"]
+            assert len(builds) == trials * blocks * len(self.T_GRID) * per_t
+            assert len(set(builds)) == len(builds)
+
+    @pytest.mark.parametrize("eval_n", [90, 601])
+    def test_distances_once_per_trial_and_block(self, tmp_path, monkeypatch, eval_n):
+        def digest(A):
+            return hashlib.sha256(np.ascontiguousarray(A).tobytes()).digest()
+
+        calls = []
+        for module in (cli, kernels):  # the trial's own calls, and any a Gram or a fit makes
+            def spy(A, B, sq_dists=module._sq_dists):
+                calls.append((digest(A), digest(B)))
+                return sq_dists(A, B)
+
+            monkeypatch.setattr(module, "_sq_dists", spy)
+        cfg_dict = self.cfg(eval_n=eval_n)
+        run(tmp_path, "simulate", cfg_dict, extra=("--threads", "1"))
+
+        cfg = BenchConfig.from_dict(cfg_dict)
+        expected = []
+        for n in cfg.n_grid:
+            for rep in range(cfg.repetitions):
+                tag = f"bench:{n}:{rep}"
+                z_p = simulate(cfg.p_density, n, derive_seed(cfg.seed, tag + ":p"))
+                z_q = simulate(cfg.q_density, cfg.m, derive_seed(cfg.seed, tag + ":q"))
+                eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
+                expected += [(digest(z_p), digest(z_p)), (digest(z_p), digest(z_q)), (digest(z_q), digest(z_q))]
+                blocks = cli._eval_blocks(eval_n, n * len(cfg.grids.lam))
+                assert len(blocks) == (1 if eval_n < 2 * cli._EVAL_BLOCK else 2)
+                expected += [(digest(eval_X[b]), digest(Z)) for Z in (z_p, z_q) for b in blocks]
+        # exactly these calls: no distances of all eval_n rows where there are
+        # several blocks, so the largest evaluation-side array is block x max(n, m)
+        assert sorted(calls) == sorted(expected)
+
+
+class TestEvalBlocks:
+    @pytest.mark.parametrize("rows", [1, 90, 255, 256, 320, 601, 2000, 4097])
+    @pytest.mark.parametrize("cols", [0, 70 * 3, 300 * 3, 300 * 6, 1000 * 6, 2 * 10**6])
+    def test_partition(self, rows, cols):
+        blocks = cli._eval_blocks(rows, cols)
+        edges = [b.start for b in blocks] + [rows]
+        assert edges[0] == 0 and all(b.stop == e for b, e in zip(blocks, edges[1:]))
+        assert all(e % 64 == 0 for e in edges[:-1])
+        sizes = [b.stop - b.start for b in blocks]
+        least = cli._EVAL_BLOCK - 64
+        if rows * cols > cli._SMALL_GEMM:  # each block's product takes the whole product's dgemm route
+            assert all(size * cols > cli._SMALL_GEMM for size in sizes)
+            least = max(least, cli._SMALL_GEMM // cols + 1)
+        assert len(blocks) == max(1, rows // (least + 64))  # as many blocks as fit least + 64 rows each
+        assert len(blocks) == 1 or min(sizes) >= least
 
 
 class TestDownstreamCommand:
