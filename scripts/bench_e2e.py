@@ -2,7 +2,8 @@
 
 Each run is the median, with the interquartile range, over REPEATS calls
 of the runner `firedre <cmd>` calls after loading its config (no
-interpreter start-up):
+interpreter start-up), with the median of the process's CPU time per call
+(all threads, so it counts BLAS workers that spin between calls):
 
 - c04_n1000_fire_t4: `simulate` of fire (type15) at n = 1000, m = 2000,
   eval_n = 2000, 20 repetitions, --threads 4 (the n = 1000 leg of the c04
@@ -27,10 +28,11 @@ settings found in the environment.  It is appended to the "records" list of
 --out, so records of several builds sit side by side.
 
 --src imports firedre from another checkout's src/ directory, to time two
-versions with the same harness:
+versions with the same harness, and --only names the runs to time:
 
     python scripts/bench_e2e.py --label change
     python scripts/bench_e2e.py --label parent --src ../parent/src
+    python scripts/bench_e2e.py --label change --only estimate_n1000_d1_t1 downstream_c08_t1
 """
 
 import argparse
@@ -118,16 +120,18 @@ def c08_inputs(work, seed=1000, train_n=800):
 
 
 def timed(fn):
-    times = []
+    times, cpus = [], []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
+        c0, t0 = time.process_time(), time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
+        cpus.append(time.process_time() - c0)
     q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"median_s": sorted(times)[len(times) // 2], "iqr_s": q3 - q1, "times_s": times}, result
+    return {"median_s": sorted(times)[len(times) // 2], "iqr_s": q3 - q1, "times_s": times,
+            "cpu_median_s": sorted(cpus)[len(cpus) // 2]}, result
 
 
-def run(work):
+def run(work, only=None):
     import numpy as np
 
     from firedre import cli, selection
@@ -139,28 +143,39 @@ def run(work):
     run_cells = getattr(selection, "run_cells", None)
     inside = run_cells(lambda _: count(), [None], 2)[0] if run_cells else outside
 
-    results = {}
-    bench = BenchConfig.from_dict(C04_LEG)
-    results["c04_n1000_fire_t4"], payload = timed(lambda: cli.run_bench(bench, work, threads=4))
-    results["c04_n1000_fire_t4"]["fire_median"] = payload["medians"]["fire"]["1000"]
-    bench = BenchConfig.from_dict(SIMULATE_1D)
-    results["simulate_n300_3methods_t2"], payload = timed(lambda: cli.run_bench(bench, work, threads=2))
-    results["simulate_n300_3methods_t2"]["medians"] = {k: v["300"] for k, v in payload["medians"].items()}
+    # name -> (the timed call, the summary of its payload kept in the record)
+    runs = {}
+    c04, sim = BenchConfig.from_dict(C04_LEG), BenchConfig.from_dict(SIMULATE_1D)
+    runs["c04_n1000_fire_t4"] = (lambda: cli.run_bench(c04, work, threads=4),
+                                 lambda p: {"fire_median": p["medians"]["fire"]["1000"]})
+    runs["simulate_n300_3methods_t2"] = (lambda: cli.run_bench(sim, work, threads=2),
+                                         lambda p: {"medians": {k: v["300"] for k, v in p["medians"].items()}})
+
+    def selected(payload):
+        return {"selected": [payload["selected_t"], payload["selected_lambda"]]}
+
     est = EstimateConfig.from_dict(ESTIMATE_1D)
     for threads in (1, 2):
-        name = f"estimate_n1000_d1_t{threads}"
-        results[name], payload = timed(lambda: cli.run_estimate(est, work, threads=threads))
-        results[name]["selected"] = [payload["selected_t"], payload["selected_lambda"]]
+        runs[f"estimate_n1000_d1_t{threads}"] = (lambda t=threads: cli.run_estimate(est, work, threads=t), selected)
     for setting in ("rkhs_loss", "combined"):
-        est = EstimateConfig.from_dict({**ESTIMATE_1D, "solver": {"setting": setting, "gamma": 0.5}})
-        name = f"estimate_{setting}_n1000_d1_t1"
-        results[name], payload = timed(lambda: cli.run_estimate(est, work, threads=1))
-        results[name]["selected"] = [payload["selected_t"], payload["selected_lambda"]]
+        cfg = EstimateConfig.from_dict({**ESTIMATE_1D, "solver": {"setting": setting, "gamma": 0.5}})
+        runs[f"estimate_{setting}_n1000_d1_t1"] = (lambda c=cfg: cli.run_estimate(c, work, threads=1), selected)
     down = DownstreamConfig.from_dict(c08_inputs(work))
     for threads in (1, 2):
-        name = f"downstream_c08_t{threads}"
-        results[name], payload = timed(lambda: cli.run_downstream(down, os.path.join(work, "down"), threads=threads))
-        results[name]["mse"] = {k: v["800"]["mse"] for k, v in payload["metrics"].items()}
+        runs[f"downstream_c08_t{threads}"] = (
+            lambda t=threads: cli.run_downstream(down, os.path.join(work, "down"), threads=t),
+            lambda p: {"mse": {k: v["800"]["mse"] for k, v in p["metrics"].items()}},
+        )
+    unknown = set(only or ()) - set(runs)
+    if unknown:
+        raise SystemExit(f"unknown run names: {sorted(unknown)}")
+
+    results = {}
+    for name, (call, summary) in runs.items():
+        if only and name not in only:
+            continue
+        results[name], payload = timed(call)
+        results[name].update(summary(payload))
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -178,11 +193,12 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of the build being timed")
     parser.add_argument("--src", default=os.path.join(HERE, "..", "src"), help="directory holding the firedre package")
     parser.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_e2e.json"), help="JSON file to append to")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="time only these runs (default: all)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.abspath(args.src))
     with tempfile.TemporaryDirectory() as work:
-        record = {"label": args.label, **run(work)}
+        record = {"label": args.label, **run(work, args.only)}
     data = {"records": []}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -192,7 +208,8 @@ def main(argv=None):
         json.dump(data, fh, indent=2)
         fh.write("\n")
     for name, r in record["results"].items():
-        print(f"{args.label:>8} {name:>25}  {r['median_s']:8.3f} s  IQR {r['iqr_s']:6.3f} s")
+        print(f"{args.label:>8} {name:>25}  {r['median_s']:8.3f} s  IQR {r['iqr_s']:6.3f} s"
+              f"  cpu {r['cpu_median_s']:8.3f} s")
     return 0
 
 

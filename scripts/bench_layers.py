@@ -63,9 +63,15 @@ spreads of shift-5d's data, unnormalized kernel at bandwidth t) it records
 the median over REPEATS calls of `solvers.solve_type1` with k_H = k at one
 lambda, the direct system of the final fit of `estimate` and `downstream`:
 
-- fit_ms: the whole call
+- fit_ms: the whole call, on one BLAS thread, as every command runs it
+- fit_cpu_ms: the process's CPU time, all threads, from the start of that
+  call to SETTLE_S after its end
+- fit_blas_ms, fit_blas_cpu_ms: the same two on the process's BLAS thread
+  count, as commands ran the final fit before they pinned BLAS to one
+  thread; the CPU time counts an OpenBLAS worker that spins once the call
+  has returned
 - grams_ms: the two Grams it builds, k(z_p, z_p) and k(z_p, z_q), timed
-  on their own
+  on their own, on one BLAS thread
 - solve_ms: fit_ms - grams_ms, the system after the Grams
 
 For the layers of shift-5d around the solvers it records the median over
@@ -78,12 +84,12 @@ REPEATS calls of:
   with those spreads, as sq_dists_ms: the distances under the final fit's
   k(z_p, z_q) Gram
 
-Every call runs on one BLAS thread, as the CV cells and `simulate` trials
-do.  The record also holds the numpy version, the BLAS name and version,
-whether LAPACKE was found in numpy's OpenBLAS, nproc, the BLAS thread
-counts and the BLAS thread settings found in the environment.  It is
-appended to the "records" list of --out, so records of several builds sit
-side by side.
+Every call but fit_blas_* runs on one BLAS thread, as the CV cells and
+`simulate` trials do.  The record also holds the numpy version, the BLAS
+name and version, whether LAPACKE was found in numpy's OpenBLAS, nproc, the
+BLAS thread counts and the BLAS thread settings found in the environment.
+It is appended to the "records" list of --out, so records of several builds
+sit side by side.
 
 --src imports firedre from another checkout's src/ directory, to time two
 versions with the same harness:
@@ -113,6 +119,8 @@ SIZES = (
 )
 # timed calls per size and function
 REPEATS = 5
+# seconds after a final-fit call during which its CPU time is still counted
+SETTLE_S = 0.5
 LAMS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 # (name, n = m, d, t) of the LSIF layer
 LSIF_SIZES = (
@@ -154,6 +162,20 @@ def median_ms(fn):
         times.append(time.perf_counter() - t0)
     times.sort()
     return 1e3 * times[len(times) // 2]
+
+
+def median_wall_cpu_ms(fn):
+    """Medians of fn()'s wall time and of the process's CPU time up to SETTLE_S after it, in ms."""
+    fn()
+    time.sleep(SETTLE_S)
+    walls, cpus = [], []
+    for _ in range(REPEATS):
+        c0, t0 = time.process_time(), time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - t0)
+        time.sleep(SETTLE_S)
+        cpus.append(time.process_time() - c0)
+    return 1e3 * sorted(walls)[len(walls) // 2], 1e3 * sorted(cpus)[len(cpus) // 2]
 
 
 def samples(rng, n, d):
@@ -266,20 +288,6 @@ def run():
 
             results[name] = {"n": n, "m": m, "eval_n": eval_n, "trial_ms": median_ms(trial),
                              "errors": {method: best[0] for method, best in trial().items()}}
-        rng = np.random.default_rng(2)
-        for name, n, m, d, t, lam in FINAL_FIT_SIZES:
-            z_p, z_q = cv_samples(rng, n, m, d)
-            k = kernels.KernelSpec(t=t, normalized=False)
-
-            def grams():
-                kernels.gaussian_kernel_matrix(z_p, z_p, k)
-                kernels.gaussian_kernel_matrix(z_p, z_q, k)
-
-            row = {"n": n, "m": m, "d": d, "t": t, "normalized": False, "lambda": lam,
-                   "fit_ms": median_ms(lambda: solvers.solve_type1(z_p, z_q, k, k, lam)),
-                   "grams_ms": median_ms(grams)}
-            row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
-            results[name] = row
         rng = np.random.default_rng(3)
         for name, rows, d in RESAMPLE_SIZES:
             pool = cv_samples(rng, rows, 0, d)[0]
@@ -292,6 +300,25 @@ def run():
         for name, n, m, d in SQ_DISTS_SIZES:
             A, B = cv_samples(rng, n, m, d)
             results[name] = {"n": n, "m": m, "d": d, "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B))}
+    rng = np.random.default_rng(2)
+    for name, n, m, d, t, lam in FINAL_FIT_SIZES:
+        z_p, z_q = cv_samples(rng, n, m, d)
+        k = kernels.KernelSpec(t=t, normalized=False)
+
+        def fit():
+            solvers.solve_type1(z_p, z_q, k, k, lam)
+
+        def grams():
+            kernels.gaussian_kernel_matrix(z_p, z_p, k)
+            kernels.gaussian_kernel_matrix(z_p, z_q, k)
+
+        row = {"n": n, "m": m, "d": d, "t": t, "normalized": False, "lambda": lam}
+        with linalg.blas_threads(1):
+            row["fit_ms"], row["fit_cpu_ms"] = median_wall_cpu_ms(fit)
+            row["grams_ms"] = median_ms(grams)
+        row["fit_blas_ms"], row["fit_blas_cpu_ms"] = median_wall_cpu_ms(fit)
+        row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
+        results[name] = row
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
@@ -328,8 +355,9 @@ def main(argv=None):
                   f"  dense lsif {r['lsif_dense_ms']:9.2f} ms")
             continue
         if "fit_ms" in r:
-            print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms  grams {r['grams_ms']:9.2f} ms"
-                  f"  solve after the grams {r['solve_ms']:9.2f} ms")
+            print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms (cpu {r['fit_cpu_ms']:9.2f} ms)"
+                  f"  on the process's BLAS threads {r['fit_blas_ms']:9.2f} ms (cpu {r['fit_blas_cpu_ms']:9.2f} ms)"
+                  f"  grams {r['grams_ms']:9.2f} ms  solve after the grams {r['solve_ms']:9.2f} ms")
             continue
         if "pca_resample_ms" in r:
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")

@@ -6,15 +6,17 @@ and a fully resolved config echo into the output directory, and exits 0 on
 success, 2 on config validation failure, 3 on numerical failure (with a
 one-line JSON reason on stderr).  Re-running any command from its echoed
 config reproduces the outputs byte for byte, apart from the timestamp, on
-the same numpy/BLAS build with the same BLAS thread count (the last bits of
-BLAS results can change with either).  --threads (default: the usable
-CPUs) changes no output bit: CV cells and simulate trials always run on one
-BLAS thread, whatever the number of workers; the final fit and evaluation
-run on the process's BLAS thread count, which OPENBLAS_NUM_THREADS still
-sets.  A simulate trial computes its squared distances once, those among
-its samples for every fit and those of each row block of the evaluation
-sample to them, and builds each distinct kernel's Gram once per (block,
-bandwidth) from them, shared by the methods whose kernels are equal.
+the same numpy/BLAS build (the last bits of BLAS results can change with
+the build).  Every runner runs its body inside one linalg.blas_threads(1)
+region, so neither --threads nor the BLAS thread count (OPENBLAS_NUM_THREADS)
+changes an output bit, and no idle OpenBLAS worker spins after a parallel
+call.  --threads (default: the usable CPUs) sets the workers that run CV
+cells and simulate trials; the final fit and evaluation run on the calling
+thread alone, so they take longer in wall time than on several BLAS
+threads.  A simulate trial computes its squared distances once, those
+among its samples for every fit and those of each row block of the
+evaluation sample to them, and builds each distinct kernel's Gram once per
+(block, bandwidth) from them, shared by the methods whose kernels are equal.
 """
 
 import argparse
@@ -40,7 +42,7 @@ from .config import (
 from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
-from .linalg import NumericalError
+from .linalg import NumericalError, blas_threads
 from .selection import SETTINGS, FitOptions, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
 SCHEMA_VERSION = 1
@@ -200,6 +202,7 @@ def _cv_payload(cvres):
 # === runners ===
 
 
+@blas_threads(1)
 def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="estimate"):
     z_p, z_q, q_fn = _estimation_inputs(cfg)
     t_grid, cvres = _select_cell(cfg, z_p, z_q, q_fn, threads)
@@ -362,6 +365,7 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     return best
 
 
+@blas_threads(1)
 def run_bench(cfg: BenchConfig, out_dir, threads=1):
     """Simulated benchmark: oracle-selected error per (method, n, repetition).
 
@@ -410,6 +414,7 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
     return payload
 
 
+@blas_threads(1)
 def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
     X_tr, y_tr = _load_source(cfg.train, "train", cfg.seed)
     if y_tr is None:
@@ -476,6 +481,7 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
     return payload
 
 
+@blas_threads(1)
 def run_resample(cfg: ResampleConfig, out_dir):
     X, labels = _load_source(cfg.data, "data", cfg.seed)
     payload = {

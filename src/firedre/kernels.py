@@ -65,14 +65,15 @@ def _sq_dists(A, B):
     Bt = np.ascontiguousarray(B.T)
     out = np.empty((n, m))
     block = max(1, _BLOCK_ELEMS // max(1, m))
-    scratch = np.empty((min(block, n), m))
+    # the block of coordinate k = 1, 2, ... before it is added; none at d = 1
+    scratch = np.empty((min(block, n), m)) if d > 1 else None
     for start in range(0, n, block):
         stop = min(start + block, n)
         acc = out[start:stop]
-        tmp = scratch[: stop - start]
         np.subtract(A[start:stop, :1], Bt[0], out=acc)
         np.multiply(acc, acc, out=acc)
         for k in range(1, d):
+            tmp = scratch[: stop - start]
             np.subtract(A[start:stop, k : k + 1], Bt[k], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
             acc += tmp

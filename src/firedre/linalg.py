@@ -185,7 +185,8 @@ def blas_threads(n):
     The setting is process-global: the outermost region sets it and restores
     the caller's count on exit, also when the body raises; regions entered
     while one is open (nested, or from other threads) change nothing.  Does
-    nothing when no OpenBLAS is found.
+    nothing when no OpenBLAS is found.  As a decorator, @blas_threads(n) runs
+    each call of the function inside a region of its own.
     """
     global _blas_depth, _blas_saved
     api = _openblas()

@@ -161,7 +161,8 @@ def run_cells(fn, tasks, threads):
     """[fn(task) for task in tasks], fanned out over worker_count(threads) threads.
 
     The cells run on one BLAS thread whatever ``threads`` is, so their results
-    do not depend on it; code outside keeps the process's BLAS thread count.
+    do not depend on it.  The CLI's commands run their whole body on one BLAS
+    thread too, so this region nests inside theirs and changes nothing there.
     """
     workers = worker_count(threads)
     with blas_threads(1):

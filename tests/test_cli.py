@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import firedre.cli as cli
-from firedre import kernels
+from firedre import kernels, solvers
 from firedre.baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from firedre.cli import derive_seed, main, write_csv, write_json
-from firedre.config import BenchConfig
+from firedre.config import BenchConfig, DownstreamConfig, EstimateConfig, ResampleConfig
 from firedre.data import load_csv, simulate
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
-from firedre.linalg import NumericalError, blas_thread_count
+from firedre.linalg import NumericalError, blas_thread_count, blas_threads
 from firedre.selection import run_cells, worker_count
 
 GAUSS = {"kind": "gaussian", "mean": [0.0], "std": 1.0}
@@ -259,6 +259,109 @@ class TestThreadsDefault:
             if name == "results.json":  # the timestamp line aside
                 a, b = (b"".join(ln for ln in x.splitlines(True) if b'"timestamp"' not in ln) for x in (a, b))
             assert a == b, name
+
+
+def write_points(path, X, y=None):
+    cols = X if y is None else np.column_stack([X, y])
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in cols.tolist()))
+    return str(path)
+
+
+def output_bytes(out_dir):
+    """Every output file's bytes, results.json without its timestamp."""
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        data = (out_dir / name).read_bytes()
+        if name == "results.json":
+            data = b"".join(ln for ln in data.splitlines(True) if b'"timestamp"' not in ln)
+        files[name] = data
+    return files
+
+
+class TestCommandBlasThreads:
+    """Each runner's body runs on one BLAS thread, so no output byte depends on the caller's count."""
+
+    # d = 5 and n = 150: large enough that the final fit's products and
+    # Cholesky solves take another summation order on two BLAS threads
+    D5 = {"kind": "gaussian", "mean": [0.0] * 5, "std": 1.0}
+    ESTIMATE_D5 = {
+        "seed": 3,
+        "p": {"density": D5, "n": 150},
+        "q": {"density": {"kind": "gaussian", "mean": [0.3] * 5, "std": 0.8}, "n": 150},
+        "solver": {"setting": "type1", "normalized": False},
+        "grids": {"t": [1.0, 2.0], "lambda": [1e-5, 1e-7]},
+        "validation": {"family": "linear", "count": 4},
+        "cv": {"folds": 2, "max_points": 60},
+    }
+
+    def downstream_d5(self, tmp_path):
+        rng = np.random.default_rng(12)
+        beta = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
+        X_tr, X_te = rng.standard_normal((150, 5)), rng.standard_normal((100, 5)) + 0.3
+        return {
+            "seed": 4,
+            "train": {"csv": write_points(tmp_path / "tr.csv", X_tr, X_tr @ beta), "label_column": -1},
+            "test": {"csv": write_points(tmp_path / "te.csv", X_te, X_te @ beta), "label_column": -1},
+            "ratio_q": {"csv": write_points(tmp_path / "rq.csv", rng.standard_normal((150, 5)) + 0.3)},
+            **{key: self.ESTIMATE_D5[key] for key in ("solver", "grids", "validation", "cv")},
+        }
+
+    @pytest.mark.parametrize("command", ["estimate", "downstream"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, caller_blas_threads, command):
+        cfg = self.ESTIMATE_D5 if command == "estimate" else self.downstream_d5(tmp_path)
+        many = run(tmp_path, command, cfg, out="many")
+        with blas_threads(1):
+            one = run(tmp_path, command, cfg, out="one")
+        assert output_bytes(many) == output_bytes(one)
+        assert blas_thread_count() == caller_blas_threads
+
+    def test_final_fit_solves_see_one_blas_thread(self, tmp_path, monkeypatch, caller_blas_threads):
+        seen = []
+        solve = solvers.solve_linear
+
+        def spy(A, b, context="", positive_definite=False):
+            seen.append((context, positive_definite, blas_thread_count()))
+            return solve(A, b, context, positive_definite=positive_definite)
+
+        monkeypatch.setattr(solvers, "solve_linear", spy)
+        run(tmp_path, "estimate", self.ESTIMATE_D5)
+        assert seen == [("type15 system", True, 1)] * 2
+
+    def runners(self, tmp_path):
+        data = write_points(tmp_path / "pool.csv", np.random.default_rng(13).standard_normal((60, 2)))
+        resample = {"seed": 1, "data": {"csv": data}, "mode": {"kind": "pca_sigmoid", "a": 1.0, "b": 0.0}}
+        return {
+            "estimate": lambda: cli.run_estimate(EstimateConfig.from_dict(ESTIMATE), str(tmp_path / "e")),
+            "cv": lambda: cli.run_cv(EstimateConfig.from_dict(ESTIMATE), str(tmp_path / "c")),
+            "simulate": lambda: cli.run_bench(BenchConfig.from_dict(TestSimulateCommand.CFG), str(tmp_path / "s")),
+            "downstream": lambda: cli.run_downstream(
+                DownstreamConfig.from_dict(self.downstream_d5(tmp_path)), str(tmp_path / "d")
+            ),
+            "resample": lambda: cli.run_resample(ResampleConfig.from_dict(resample), str(tmp_path / "r")),
+        }
+
+    @pytest.mark.parametrize("command", ["estimate", "cv", "simulate", "downstream", "resample"])
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_every_runner_restores_the_callers_count(self, tmp_path, monkeypatch, caller_blas_threads, command,
+                                                     raises):
+        seen = []
+        write = cli.write_json
+
+        def spy(path, payload):
+            seen.append(blas_thread_count())
+            if raises:
+                raise OSError("disk full")
+            write(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", spy)
+        runner = self.runners(tmp_path)[command]
+        if raises:
+            with pytest.raises(OSError, match="disk full"):
+                runner()
+        else:
+            runner()
+        assert seen and set(seen) == {1}
+        assert blas_thread_count() == caller_blas_threads
 
 
 # === oracle: per-method bandwidth loops over whole evaluation Grams built from the points ===

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,20 @@ class TestSqDists:
         rng = np.random.default_rng(12)
         A = rand_points(rng, 31, 5, 100.0)
         assert np.all(np.diag(kernels._sq_dists(A, A)) == 0.0)
+
+    @pytest.mark.parametrize("d, scratch", [(1, False), (2, True)])
+    def test_scratch_block_only_past_one_coordinate(self, d, scratch):
+        # at d = 1 the first coordinate is written straight into the output
+        rng = np.random.default_rng(14)
+        A, B = rand_points(rng, 256, d), rand_points(rng, 256, d)
+        out_bytes = 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            kernels._sq_dists(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak > 1.5 * out_bytes) == scratch
 
     @pytest.mark.parametrize("block_elems", [1, 33, 7 * 33 + 5, 2 ** 30])
     def test_block_size_independent_d5(self, monkeypatch, block_elems):
