@@ -1,4 +1,4 @@
-"""Time the spectral layer, the regularization path and the CV grid at fixed, named sizes.
+"""Time the Gram layer, the spectral layer, the regularization path and the CV grid at fixed, named sizes.
 
 The CV sizes are timed first, before anything else has run in the process:
 after the n = 2000 eigendecompositions, whose large frees leave the
@@ -60,8 +60,11 @@ ten-value `bandwidth_grid` of the p-points and the six-value lambda grid:
 
 For each final-fit size (n p-points and m q-points with the coordinate
 spreads of shift-5d's data, unnormalized kernel at bandwidth t) it records
-the median over REPEATS calls of `solvers.solve_type1` with k_H = k at one
-lambda, the direct system of the final fit of `estimate` and `downstream`:
+the median over REPEATS calls of the final fit of `estimate` and
+`downstream`, fit_factory("type1", normalized=False)(z_p, z_q, t, [lam])[0]:
+the type1 path at one lambda, which is the direct solve with k_H = k (on
+a build whose one-lambda path takes the path's own route, it times that
+route):
 
 - fit_ms: the whole call, on one BLAS thread, as every command runs it
 - fit_cpu_ms: the process's CPU time, all threads, from the start of that
@@ -74,15 +77,25 @@ lambda, the direct system of the final fit of `estimate` and `downstream`:
   on their own, on one BLAS thread
 - solve_ms: fit_ms - grams_ms, the system after the Grams
 
-For the layers of shift-5d around the solvers it records the median over
-REPEATS calls of:
+For shift-5d's resampling layer it records, as pca_resample_ms, the
+median over REPEATS calls of `data.pca_resample`, with the number of rows
+kept:
 
-- resample_pool3000_d5: `data.pca_resample` of a 3000-row d = 5 pool with
-  the coordinate spreads of shift-5d's data (a = 2.5, b = 1), as
-  pca_resample_ms, with the number of rows kept
-- sq_dists_1360x2000_d5: `kernels._sq_dists` of 1360 against 2000 points
-  with those spreads, as sq_dists_ms: the distances under the final fit's
+- resample_pool3000_d5: a 3000-row d = 5 pool with the coordinate spreads
+  of shift-5d's data (a = 2.5, b = 1)
+
+For each Gram size (n against m points with those spreads for d = 5, and
+from N(0, 1) against N(0.5, 0.8^2) for d = 1) it records the median over
+REPEATS calls of `kernels._sq_dists`, as sq_dists_ms, and of
+`kernels.gaussian_kernel_matrix` (unnormalized, t = 1), as gram_ms:
+
+- gram_320x320_d5, gram_80x320_d5, gram_320x400_d5: the CV-subset and
+  validation shapes of shift-5d
+- gram_1350x1350_d5, gram_1350x2000_d5 and sq_dists_1360x2000_d5: its
+  final-fit shapes, the last the distances under the final fit's
   k(z_p, z_q) Gram
+- gram_300x300_d1, gram_2000x300_d1: the n = m = 300 and eval_n = 2000
+  shapes of simulate-1d
 
 Every call but fit_blas_* runs on one BLAS thread, as the CV cells and
 `simulate` trials do.  The record also holds the numpy version, the BLAS
@@ -146,9 +159,16 @@ FINAL_FIT_SIZES = (
 RESAMPLE_SIZES = (
     ("resample_pool3000_d5", 3000, 5),
 )
-# (name, n, m, d) of the pairwise distance layer
-SQ_DISTS_SIZES = (
+# (name, n, m, d) of the pairwise distance and Gram layer
+GRAM_SIZES = (
+    ("gram_320x320_d5", 320, 320, 5),
+    ("gram_80x320_d5", 80, 320, 5),
+    ("gram_320x400_d5", 320, 400, 5),
+    ("gram_1350x1350_d5", 1350, 1350, 5),
+    ("gram_1350x2000_d5", 1350, 2000, 5),
     ("sq_dists_1360x2000_d5", 1360, 2000, 5),
+    ("gram_300x300_d1", 300, 300, 1),
+    ("gram_2000x300_d1", 2000, 300, 1),
 )
 STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
 
@@ -297,16 +317,19 @@ def run():
 
             results[name] = {"rows": rows, "d": d, "pca_resample_ms": median_ms(resample),
                              "kept": int(resample().mask.sum())}
-        for name, n, m, d in SQ_DISTS_SIZES:
+        unit = kernels.KernelSpec(t=1.0, normalized=False)
+        for name, n, m, d in GRAM_SIZES:
             A, B = cv_samples(rng, n, m, d)
-            results[name] = {"n": n, "m": m, "d": d, "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B))}
+            results[name] = {"n": n, "m": m, "d": d, "sq_dists_ms": median_ms(lambda: kernels._sq_dists(A, B)),
+                             "gram_ms": median_ms(lambda: kernels.gaussian_kernel_matrix(A, B, unit))}
     rng = np.random.default_rng(2)
     for name, n, m, d, t, lam in FINAL_FIT_SIZES:
         z_p, z_q = cv_samples(rng, n, m, d)
         k = kernels.KernelSpec(t=t, normalized=False)
+        final = selection.fit_factory("type1", normalized=False)
 
         def fit():
-            solvers.solve_type1(z_p, z_q, k, k, lam)
+            final(z_p, z_q, t, [lam])[0]
 
         def grams():
             kernels.gaussian_kernel_matrix(z_p, z_p, k)
@@ -366,7 +389,7 @@ def main(argv=None):
             print(f"{args.label:>8} {name:>14}  _bench_trial {r['trial_ms']:9.2f} ms  errors {r['errors']}")
             continue
         if "sq_dists_ms" in r:
-            print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms")
+            print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms  gram {r['gram_ms']:9.2f} ms")
             continue
         if "kfold_cv_ms" in r:
             print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")

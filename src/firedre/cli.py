@@ -43,7 +43,7 @@ from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
 from .kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
 from .linalg import NumericalError, blas_threads
-from .selection import SETTINGS, FitOptions, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
+from .selection import SETTINGS, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
 SCHEMA_VERSION = 1
 
@@ -149,7 +149,7 @@ def _validation_set(cfg, z_p_cv, t_grid, seed):
 
 
 def _select_cell(cfg, z_p, z_q, q_fn, threads):
-    """Run k-fold CV on capped subsets; returns (t_grid, CVResult)."""
+    """Run k-fold CV on capped subsets; returns (CVResult, fit), fit the fit_factory callback it ran."""
     t_grid = _t_grid(cfg.grids, z_p)
     lam_grid = np.asarray(cfg.grids.lam, dtype=np.float64)
     z_p_cv = _cv_subset(z_p, cfg.cv.fraction, cfg.cv.max_points, cfg.seed, "cv-subset-p")
@@ -168,12 +168,7 @@ def _select_cell(cfg, z_p, z_q, q_fn, threads):
         seed=derive_seed(cfg.seed, "cv-folds"),
         threads=threads,
     )
-    return t_grid, cvres
-
-
-def _final_fit(cfg, z_p, z_q, q_fn, t, lam):
-    s = cfg.solver
-    return SETTINGS[s.setting].fit(z_p, z_q, t, lam, FitOptions(s.gamma, s.t_prime_ratio, q_fn, s.normalized))
+    return cvres, fit
 
 
 def _estimation_inputs(cfg):
@@ -205,7 +200,7 @@ def _cv_payload(cvres):
 @blas_threads(1)
 def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="estimate"):
     z_p, z_q, q_fn = _estimation_inputs(cfg)
-    t_grid, cvres = _select_cell(cfg, z_p, z_q, q_fn, threads)
+    cvres, fit = _select_cell(cfg, z_p, z_q, q_fn, threads)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -218,7 +213,7 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
     }
     os.makedirs(out_dir, exist_ok=True)
     if final:
-        est = _final_fit(cfg, z_p, z_q, q_fn, cvres.selected_t, cvres.selected_lam)
+        est = fit(z_p, z_q, cvres.selected_t, [cvres.selected_lam])[0]
         weights = est.evaluate(z_p, clip_negative=cfg.clip_negative)
         centers_path = os.path.join(out_dir, "centers.csv")
         weights_path = os.path.join(out_dir, "weights.csv")
@@ -440,8 +435,8 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
         validation=cfg.validation,
         cv=cfg.cv,
     )
-    _, cvres = _select_cell(est_cfg, X_tr, X_rq, None, threads)
-    est = _final_fit(est_cfg, X_tr, X_rq, None, cvres.selected_t, cvres.selected_lam)
+    cvres, fit = _select_cell(est_cfg, X_tr, X_rq, None, threads)
+    est = fit(X_tr, X_rq, cvres.selected_t, [cvres.selected_lam])[0]
     weights = est.evaluate(X_tr, clip_negative=cfg.clip_weights)
 
     n = X_tr.shape[0]

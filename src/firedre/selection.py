@@ -23,15 +23,10 @@ from .kernels import KernelSpec, _sq_dists, as_sample_matrix, gaussian_kernel_ma
 from .linalg import NumericalError, blas_threads
 from .solvers import (
     RatioEstimate,
-    solve_combined,
     solve_combined_path,
-    solve_rkhs_loss,
     solve_rkhs_loss_path,
-    solve_type1,
-    solve_type15,
     solve_type15_path,
     solve_type1_path,
-    solve_type2,
     solve_type2_path,
 )
 
@@ -173,7 +168,7 @@ def run_cells(fn, tasks, threads):
 
 
 class FitOptions(NamedTuple):
-    """What a setting's fit reads besides the samples, t and lambda; k_H = k."""
+    """What a setting's path reads besides the samples, t and the lambdas; k_H = k."""
 
     gamma: float | None = None
     t_prime_ratio: float = 2.0
@@ -188,15 +183,15 @@ class FitOptions(NamedTuple):
 class Setting:
     """One loss and penalty choice of the Fredholm formulation.
 
-    ``fit(z_p, z_q, t, lam, opts)`` solves it at one lambda.  ``path(z_p, z_q,
-    t, lams, opts, sq_pp, sq_pq)`` solves a lambda grid, building its Grams
-    once, from the squared distances when given.
-    ``reads_q_fn``: it reads opts.q_fn at z_p in place of a q-sample (and no
-    sq_pq).  Rows look the solvers up by name when called, so they reach a
-    rebound module attribute (the span tracer, a test spy).
+    ``path(z_p, z_q, t, lams, opts, sq_pp, sq_pq)`` solves a lambda grid,
+    building its Grams once, from the squared distances when given.  A grid
+    of one lambda gives the setting's direct solve, bit for bit, so the CV
+    cells and the final fit read this one entry.  ``reads_q_fn``: it reads
+    opts.q_fn at z_p in place of a q-sample (and no sq_pq).  Rows look the
+    solvers up by name when called, so they reach a rebound module
+    attribute (the span tracer, a test spy).
     """
 
-    fit: object
     path: object
     reads_q_fn: bool = False
     needs_gamma: bool = False
@@ -204,33 +199,28 @@ class Setting:
 
 SETTINGS = {
     "type1": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_type1(z_p, z_q, o.k(t), o.k(t), lam),
         path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type1_path(
             z_p, z_q, o.k(t), lams, sq_pp=sq_pp, sq_pq=sq_pq
         ),
     ),
     "type15": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_type15(z_p, z_q, o.k(t), o.k(t * o.t_prime_ratio), o.k(t), lam),
         path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type15_path(
             z_p, z_q, o.k(t), o.k(t * o.t_prime_ratio), lams, sq_pp=sq_pp, sq_pq=sq_pq
         ),
     ),
     "type2": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_type2(z_p, o.q_fn(z_p), o.k(t), o.k(t), lam),
         path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_type2_path(
             z_p, o.q_fn(z_p), o.k(t), lams, sq_pp=sq_pp
         ),
         reads_q_fn=True,
     ),
     "combined": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_combined(z_p, z_q, o.k(t), o.k(t), o.gamma, lam),
         path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_combined_path(
             z_p, z_q, o.k(t), o.gamma, lams, sq_pp=sq_pp, sq_pq=sq_pq
         ),
         needs_gamma=True,
     ),
     "rkhs_loss": Setting(
-        fit=lambda z_p, z_q, t, lam, o: solve_rkhs_loss(z_p, z_q, o.k(t), lam),
         path=lambda z_p, z_q, t, lams, o, sq_pp, sq_pq: solve_rkhs_loss_path(
             z_p, z_q, o.k(t), lams, sq_pp=sq_pp, sq_pq=sq_pq
         ),
@@ -239,14 +229,14 @@ SETTINGS = {
 
 
 def fit_factory(setting, gamma=None, t_prime_ratio=2.0, q_fn=None, normalized=True):
-    """Build a fit(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None) callback for kfold_cv.
+    """Build a fit(z_p_train, z_q, t, lams, sq_pp=None, sq_pq=None) callback.
 
     The callback returns one estimate per lam from SETTINGS[setting]'s path,
-    each centered on z_p_train itself.  sq_pp and sq_pq, when given, are the
-    squared distances of z_p_train to itself and to z_q, and the Grams are
-    built from them with the same bits; sq_pq may be None unless
-    ``fit.reads_sq_pq``.  q_fn, a callable giving q values at arbitrary
-    points, is required where the row reads it.
+    each centered on z_p_train itself; fit(z_p, z_q, t, [lam])[0] is the
+    direct solve.  sq_pp and sq_pq, when given, are the squared distances of
+    z_p_train to itself and to z_q, and the Grams are built from them with
+    the same bits; sq_pq may be None unless ``fit.reads_sq_pq``.  q_fn, a
+    callable giving q values at arbitrary points, is required where it is read.
     """
     row = SETTINGS.get(setting)
     if row is None:

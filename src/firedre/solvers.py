@@ -118,16 +118,22 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     or Q diag(w / (w^3 + lam)) Q' K_pq 1 with K_pp = Q diag(w) Q'.
 
     Returns one RatioEstimate per entry of lams; function values agree with
-    the per-lam direct solves.  sq_pp and sq_pq, when given, are the squared
-    distances of z_p to z_p and to z_q (see gaussian_kernel_matrix), so a
-    caller that walks a bandwidth grid computes them once.
+    the per-lam direct solves, and over one lam it is the direct solve.
+    sq_pp and sq_pq, when given, are the squared distances of z_p to z_p and
+    to z_q (see gaussian_kernel_matrix), so a caller that walks a bandwidth
+    grid computes them once.
     """
+    lams = _check_lams(lams)
+    if lams.size == 1:
+        return [solve_type1(z_p, z_q, k, k, lams[0])]
     return solve_type15_path(z_p, z_q, k, k, lams, sq_pp=sq_pp, sq_pq=sq_pq)
 
 
 def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams, sq_pp=None, sq_pq=None):
     """Regularization path of solve_type15 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
+    if lams.size == 1:
+        return [solve_type15(z_p, z_q, k, k_prime, k, lams[0])]
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
@@ -139,6 +145,8 @@ def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams, sq_pp=
 def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
     """Regularization path of solve_type2 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
+    if lams.size == 1:
+        return [solve_type2(z_p, q_values, k, k, lams[0])]
     z_p = as_sample_matrix(z_p, "z_p")
     q = _check_q_values(q_values, z_p.shape[0])
     K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / z_p.shape[0]
@@ -210,7 +218,7 @@ def _same_kernel_path(z_p, K_pp, target, k, lams):
     From the rank-r spectrum where _spectrum finds one; else from one
     tridiagonal reduction of K_pp and a banded solve per lam
     (linalg.tridiagonal_path), or, where numpy's OpenBLAS has no LAPACKE,
-    the dense eigendecomposition of K_pp.
+    the dense eigendecomposition of K_pp.  One lam takes the direct solve.
     """
     spectrum = _spectrum(K_pp)
     coefs = tridiagonal_path(K_pp, target, lams) if spectrum is None else None

@@ -12,7 +12,7 @@ import firedre.cli as cli
 import firedre.kernels as kernels
 import firedre.selection as selection
 import firedre.solvers as solvers
-from firedre.config import SolverConfig
+from firedre.config import GridConfig, SolverConfig
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, blas_thread_count, blas_threads, tridiagonal_path
 from firedre.selection import (
@@ -651,18 +651,21 @@ def today_calls(setting, z_p, z_q, t, normalized, gamma=0.3, t_prime_ratio=3.0):
 
 
 class TestSettingsTable:
-    """fit_factory and the CLI's final fit read one table of settings."""
+    """fit_factory, kfold_cv and the CLI's final fit read one table of settings."""
 
     T, LAMS = 0.7, np.array([1e-4, 1e-6, 1e-8])
 
-    def final_fit(self, setting, z_p, z_q, lam, normalized):
-        cfg = dataclasses.replace(cli.EstimateConfig(), solver=SolverConfig(setting, 0.3, 3.0, normalized))
-        return cli._final_fit(cfg, z_p, z_q, gaussian_q, self.T, lam)
+    def cli_fit(self, setting, z_p, z_q, normalized):
+        """The callback the CLI's final fit calls: the one _select_cell ran its CV with."""
+        cfg = dataclasses.replace(cli.EstimateConfig(), solver=SolverConfig(setting, 0.3, 3.0, normalized),
+                                  grids=GridConfig(t=(self.T,), lam=tuple(self.LAMS)))
+        return cli._select_cell(cfg, z_p, z_q, gaussian_q, 1)[1]
 
     def test_rows(self):
         assert sorted(SETTINGS) == ["combined", "rkhs_loss", "type1", "type15", "type2"]
         assert [s for s, row in SETTINGS.items() if row.reads_q_fn] == ["type2"]
         assert [s for s, row in SETTINGS.items() if row.needs_gamma] == ["combined"]
+        assert not any(hasattr(row, "fit") for row in SETTINGS.values())
 
     @pytest.mark.parametrize("setting", sorted(SETTINGS))
     @pytest.mark.parametrize("normalized", [True, False])
@@ -675,9 +678,16 @@ class TestSettingsTable:
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
             assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+        # a path over one lambda is the direct solve, also given the distances
+        # it then does not read, and so is the CLI's final fit
+        sq_pp, sq_pq = kernels._sq_dists(z_p, z_p), kernels._sq_dists(z_p, z_q)
+        final = self.cli_fit(setting, z_p, z_q, normalized)
         for lam in self.LAMS:
-            a, b = self.final_fit(setting, z_p, z_q, lam, normalized), direct(lam)
-            assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+            b = direct(lam)
+            one_lam = [path([lam]), fit(z_p, z_q, self.T, [lam]), fit(z_p, z_q, self.T, [lam], sq_pp, sq_pq),
+                       final(z_p, z_q, self.T, [lam])]
+            for (a,) in one_lam:
+                assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
 
     @pytest.mark.parametrize("setting", sorted(SETTINGS))
     def test_rebound_solvers_are_reached(self, monkeypatch, setting):
@@ -699,11 +709,16 @@ class TestSettingsTable:
                     if value is original:
                         monkeypatch.setattr(mod, key, spy)
         z_p, z_q = small_problem(15)
-        fit_factory(setting, gamma=0.3, q_fn=gaussian_q)(z_p, z_q, self.T, self.LAMS[:1])
-        assert reached[0] == f"solve_{setting}_path"
+        fit_factory(setting, gamma=0.3, q_fn=gaussian_q)(z_p, z_q, self.T, self.LAMS[:2])
+        assert reached == [f"solve_{setting}_path"] + ["solve_type15_path"] * (setting == "type1")
+        final = self.cli_fit(setting, z_p, z_q, True)
         reached.clear()
-        self.final_fit(setting, z_p, z_q, 1e-5, True)
-        assert reached[0] == f"solve_{setting}"
+        final(z_p, z_q, self.T, [1e-5])
+        # the final fit enters the path, and the one-lambda path the direct
+        # solver by its module name: the span the benchmark's coverage reads
+        assert reached[0] == f"solve_{setting}_path"
+        if setting in ("type1", "type15", "type2"):
+            assert reached[1] == f"solve_{setting}"
 
     def test_unknown_or_incomplete_setting_raises_when_built(self):
         with pytest.raises(ValueError, match="mystery"):

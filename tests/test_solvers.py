@@ -862,19 +862,34 @@ class TestLowRankSpectrum:
                 assert np.array_equal(est.v, ref.v)
         assert eigh_sizes == [240] * 10 and tridiagonal_sizes == [240] * 10
 
-    def test_indefinite_shift_raises(self, monkeypatch):
+    def test_indefinite_shift_raises(self, monkeypatch, tridiagonal_sizes):
         # duplicated points give K_pp exact zero eigenvalues; at t = 0.01,
         # lam = 1e-20 lies far below eps * w_max^3 ~ 5e-16, so the rounding
         # of T^3 leaves T^3 + lam I indefinite
         monkeypatch.setattr(solvers, "pivoted_cholesky", lambda K, tol, cap: None)
         z_p = np.repeat(np.array([[-1.0], [0.3], [2.0]]), 10, axis=0)
         z_q = np.linspace(-2.0, 2.0, 20)[:, None]
+        lams = [1e-3, 1e-20]  # two lambdas: one would take the direct solve
         with pytest.raises(NumericalError, match="not positive definite in path at lam=1e-20"):
-            solve_type1_path(z_p, z_q, KernelSpec(t=0.01), [1e-20])
+            solve_type1_path(z_p, z_q, KernelSpec(t=0.01), lams)
         vs = make_validation_set("linear", d=1, count=4, seed=0)
-        res = kfold_cv(z_p, z_q, fit_factory("type1"), [0.01, 100.0], [1e-20], vs, folds=3, seed=0)
+        res = kfold_cv(z_p, z_q, fit_factory("type1"), [0.01, 100.0], lams, vs, folds=3, seed=0)
         assert np.isinf(res.fold_scores[0]).all() and np.isfinite(res.fold_scores[1]).all()
         assert res.selected_t == 100.0
+        assert tridiagonal_sizes == [30] + [20] * 6
+        # at one lambda the path is the direct solve: two Cholesky solves of
+        # the factored system, which stay positive definite, and no reduction
+        solves = []
+
+        def spy(A, b, context="", positive_definite=False):
+            solves.append(positive_definite)
+            return solve_linear(A, b, context, positive_definite=positive_definite)
+
+        monkeypatch.setattr(solvers, "solve_linear", spy)
+        tridiagonal_sizes.clear()
+        (est,) = solve_type1_path(z_p, z_q, KernelSpec(t=0.01), [1e-20])
+        assert solves == [True, True] and tridiagonal_sizes == []
+        assert np.all(np.isfinite(est.v))
 
     def test_duplicated_points_are_rank_deficient(self, eigh_sizes):
         z_p = np.repeat(np.array([[-1.0], [0.3], [2.0]]), 4, axis=0)
@@ -909,8 +924,9 @@ class TestLowRankSpectrum:
         z_q = simulate(NARROW_1D, 10, 4)
         probes = np.linspace(-2.0, 2.0, 9)[:, None]
         k = KernelSpec(t=0.4)
-        assert gap_to_dense(z_p, z_q, k, np.array([1e-4]), probes) <= 1e-10
-        assert_repeats_bitwise(z_p, z_q, k, np.array([1e-4]))
+        lams = np.array([1e-4, 1e-6])  # two lambdas: one would take the direct solve
+        assert gap_to_dense(z_p, z_q, k, lams, probes) <= 1e-10
+        assert_repeats_bitwise(z_p, z_q, k, lams)
         routed = (eigh_sizes, tridiagonal_sizes) if order < z_p.shape[0] else (tridiagonal_sizes, eigh_sizes)
         assert routed == ([order] * 3, [])
 
