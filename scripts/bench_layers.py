@@ -76,6 +76,8 @@ route):
 - grams_ms: the two Grams it builds, k(z_p, z_p) and k(z_p, z_q), timed
   on their own, on one BLAS thread
 - solve_ms: fit_ms - grams_ms, the system after the Grams
+- fit_peak_mb: the `tracemalloc` peak of one call, in MiB: the most of
+  the memory numpy and Python allocated in the call that was held at once
 
 For shift-5d's resampling layer it records, as pca_resample_ms, the
 median over REPEATS calls of `data.pca_resample`, with the number of rows
@@ -117,6 +119,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -339,6 +342,12 @@ def run():
         with linalg.blas_threads(1):
             row["fit_ms"], row["fit_cpu_ms"] = median_wall_cpu_ms(fit)
             row["grams_ms"] = median_ms(grams)
+            tracemalloc.start()
+            try:
+                fit()
+                row["fit_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
         row["fit_blas_ms"], row["fit_blas_cpu_ms"] = median_wall_cpu_ms(fit)
         row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
         results[name] = row
@@ -380,7 +389,8 @@ def main(argv=None):
         if "fit_ms" in r:
             print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms (cpu {r['fit_cpu_ms']:9.2f} ms)"
                   f"  on the process's BLAS threads {r['fit_blas_ms']:9.2f} ms (cpu {r['fit_blas_cpu_ms']:9.2f} ms)"
-                  f"  grams {r['grams_ms']:9.2f} ms  solve after the grams {r['solve_ms']:9.2f} ms")
+                  f"  grams {r['grams_ms']:9.2f} ms  solve after the grams {r['solve_ms']:9.2f} ms"
+                  f"  traced peak {r['fit_peak_mb']:6.2f} MiB")
             continue
         if "pca_resample_ms" in r:
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")

@@ -108,6 +108,24 @@ def gaussian_kernel_matrix(A, B, spec: KernelSpec, sq=None):
     return G
 
 
+def kernel_row_means(A, B, spec: KernelSpec, sq=None):
+    """k(A, B).sum(axis=1) / m, bit for bit, without the (n, m) Gram.
+
+    The Gram is built in row blocks of a multiple of 64 rows, about
+    _BLOCK_ELEMS entries each (the last may be shorter), so every entry
+    keeps its place modulo 64 in the flat array, and with it its lane in
+    the vectorized elementwise loops; each row sum reads its own row alone.
+    ``sq`` is as in gaussian_kernel_matrix.
+    """
+    n, m = A.shape[0], B.shape[0]
+    rows = 64 * max(1, _BLOCK_ELEMS // (64 * m))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        out[block] = gaussian_kernel_matrix(A[block], B, spec, sq=None if sq is None else sq[block]).sum(axis=1)
+    return out / m
+
+
 def bandwidth_grid(points, neighbors=10, size=10):
     """Data-driven bandwidth grid (t0, t0*2, ..., t0*2^(size-1)).
 

@@ -92,14 +92,17 @@ def pivoted_cholesky(K, tol, cap):
     return None
 
 
-def solve_linear(A, b, context="", positive_definite=False):
+def solve_linear(A, b, context="", positive_definite=False, lower=False):
     """np.linalg.solve wrapped to raise NumericalError with context.
 
-    With positive_definite=True, A is a C-ordered float64 symmetric positive
-    definite matrix, which the solve overwrites: by its Cholesky factor,
-    through LAPACKE dposv of numpy's OpenBLAS, or, where no LAPACKE is found,
-    by np.linalg.solve (an LU of a copy) as without the flag.  Through dposv,
-    an A that is not numerically positive definite raises NumericalError.
+    With positive_definite=True, A is a C-ordered float64 array whose upper
+    triangle (C order; with lower=True its lower triangle), diagonal
+    included, holds a symmetric positive definite matrix; the other strict
+    triangle is not read.  The solve overwrites the triangle it reads by its
+    Cholesky factor, through LAPACKE dposv of numpy's OpenBLAS, or, where no
+    LAPACKE is found, solves the matrix symmetrized into a copy by
+    np.linalg.solve (an LU) as without the flag.  Through dposv, an A that
+    is not numerically positive definite raises NumericalError.
     """
     where = f": {context}" if context else ""
     api = _lapacke() if positive_definite else None
@@ -108,11 +111,17 @@ def solve_linear(A, b, context="", positive_definite=False):
         x = np.array(b, dtype=np.float64)
         if A.shape != (n, n) or x.shape != (n,):
             raise ValueError(f"expected a square matrix and a matching vector, got shapes {A.shape} and {x.shape}")
-        info = api[3](_COL_MAJOR, b"L", n, 1, A, n, x, n)
+        # column-major on a C-ordered array: its "U" is A's lower triangle
+        info = api[3](_COL_MAJOR, b"U" if lower else b"L", n, 1, A, n, x, n)
         if info > 0:
             raise NumericalError(f"linear solve failed{where} (matrix is not positive definite: leading minor {info})")
         _check_info(info, "dposv")
     else:
+        if positive_definite:
+            half = np.tril if lower else np.triu
+            S = half(A)
+            S += half(A, -1 if lower else 1).T
+            A = S
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError as exc:

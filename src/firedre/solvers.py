@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means
 from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 
 
@@ -84,7 +84,7 @@ def _check_lams(lams):
 # === Tikhonov solvers ===
 
 
-def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, lam):
+def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, lam, sq_pp=None, sq_pq=None):
     """Two-kernel variant: push q through a second delta kernel k'.
 
     Minimizes (1/n) ||K_pp K_H v - K'_pq 1||^2 + lam v' K_H v where
@@ -92,19 +92,22 @@ def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, 
 
         v = (K_pp^2 K_H + n lam I)^{ -1} K_pp K'_pq 1.
 
-    With k' = k this is the plain squared-loss estimator under p.
+    With k' = k this is the plain squared-loss estimator under p.  The
+    target K'_pq 1 is summed in row blocks (kernel_row_means).  sq_pp and
+    sq_pq are as in solve_type1_path; the Grams built from them are bitwise
+    those built from the points.
     """
     _check_lam(lam)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
-    target = gaussian_kernel_matrix(z_p, z_q, k_prime).sum(axis=1) / z_q.shape[0]
-    v = _solve_cubic(z_p, target, k, k_h, lam, "type15 system")
+    target = kernel_row_means(z_p, z_q, k_prime, sq=sq_pq)
+    v = _solve_cubic(z_p, target, k, k_h, lam, "type15 system", sq_pp)
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 
-def solve_type1(z_p, z_q, k: KernelSpec, k_h: KernelSpec, lam):
+def solve_type1(z_p, z_q, k: KernelSpec, k_h: KernelSpec, lam, sq_pp=None, sq_pq=None):
     """Squared loss under p: v = (K_pp^2 K_H + n lam I)^{-1} K_pp K_pq 1."""
-    return solve_type15(z_p, z_q, k, k, k_h, lam)
+    return solve_type15(z_p, z_q, k, k, k_h, lam, sq_pp=sq_pp, sq_pq=sq_pq)
 
 
 def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
@@ -125,7 +128,7 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     """
     lams = _check_lams(lams)
     if lams.size == 1:
-        return [solve_type1(z_p, z_q, k, k, lams[0])]
+        return [solve_type1(z_p, z_q, k, k, lams[0], sq_pp=sq_pp, sq_pq=sq_pq)]
     return solve_type15_path(z_p, z_q, k, k, lams, sq_pp=sq_pp, sq_pq=sq_pq)
 
 
@@ -133,7 +136,7 @@ def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams, sq_pp=
     """Regularization path of solve_type15 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
     if lams.size == 1:
-        return [solve_type15(z_p, z_q, k, k_prime, k, lams[0])]
+        return [solve_type15(z_p, z_q, k, k_prime, k, lams[0], sq_pp=sq_pp, sq_pq=sq_pq)]
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
@@ -146,7 +149,7 @@ def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
     """Regularization path of solve_type2 when k_H equals k (see solve_type1_path)."""
     lams = _check_lams(lams)
     if lams.size == 1:
-        return [solve_type2(z_p, q_values, k, k, lams[0])]
+        return [solve_type2(z_p, q_values, k, k, lams[0], sq_pp=sq_pp)]
     z_p = as_sample_matrix(z_p, "z_p")
     q = _check_q_values(q_values, z_p.shape[0])
     K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / z_p.shape[0]
@@ -182,7 +185,7 @@ def _add_ridge(A, ridge):
     return A
 
 
-def _solve_cubic(z_p, target, k, k_h, lam, context):
+def _solve_cubic(z_p, target, k, k_h, lam, context, sq_pp=None):
     """v = (K_pp^2 K_H + n lam I)^{-1} K_pp target, the direct system of type1, type15 and type2.
 
     With k_H = k the system is n (K^3 + lam I) for K = K_pp.  Then, with
@@ -190,26 +193,57 @@ def _solve_cubic(z_p, target, k, k_h, lam, context):
     factors are positive definite for positive semidefinite K (eigenvalues
     b + 1 >= 1 and b^2 - b + 1 >= 3/4), so two Cholesky solves replace the
     two products and the LU of the assembled system, about 5/3 n^3 flops
-    against 4.7 n^3, on two n x n arrays.  Otherwise the system is assembled
-    as it reads and solved by LU.
+    against 4.7 n^3.  Both factors live in the one n x n array the Gram is
+    built in: B in its lower triangle, B^2 - B in its upper one
+    (_square_minus_into_upper), their diagonals set in turn before each
+    solve.  Otherwise the system is assembled as it reads and solved by LU.
     """
     n = z_p.shape[0]
     if k_h != k:
-        K_pp, K_H = _p_grams(z_p, k, k_h)
+        K_pp, K_H = _p_grams(z_p, k, k_h, sq_pp)
         rhs = K_pp @ target
         A = _add_ridge(np.matmul(K_pp @ K_pp, K_H, out=K_pp), n * lam)
         del K_pp, K_H  # the solve then holds only A and LAPACK's copy of it
         return solve_linear(A, rhs, context)
-    B = gaussian_kernel_matrix(z_p, z_p, k)
+    B = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp)
     B /= n
     rhs = B @ target
     c = lam ** (1.0 / 3.0)
     B /= c
-    S = B @ B.T  # symmetric product: one syrk
-    S -= B
-    y = solve_linear(_add_ridge(B, 1.0), rhs, context, positive_definite=True)
-    del B
-    return solve_linear(_add_ridge(S, 1.0), y, context, positive_definite=True) / (n * c ** 3)
+    diag = np.diag_indices_from(B)
+    diag_b = B[diag]
+    diag_s = _square_minus_into_upper(B)
+    B[diag] = diag_b + 1.0
+    y = solve_linear(B, rhs, context, positive_definite=True, lower=True)
+    B[diag] = diag_s + 1.0
+    return solve_linear(B, y, context, positive_definite=True) / (n * c ** 3)
+
+
+# rows per panel of _square_minus_into_upper
+_PANEL = 64
+
+
+def _square_minus_into_upper(B):
+    """Write S = B B' - B over the strict upper triangle of a symmetric B; return S's diagonal.
+
+    B's strict lower triangle is left as it is, so B and S then share B's
+    array.  By panels of _PANEL rows from the top down: each panel is copied
+    before its rows are written, and the rows below it are still whole rows
+    of B.  The products take the n^3 flops of one syrk of B, and the panel
+    and one product of it are all the memory added.
+    """
+    n = B.shape[0]
+    diag = np.empty(n)
+    strict = np.triu(np.ones((_PANEL, _PANEL), dtype=bool), 1)
+    for i0 in range(0, n, _PANEL):
+        i1 = min(i0 + _PANEL, n)
+        panel = B[i0:i1].copy()
+        block = panel @ panel.T
+        block -= panel[:, i0:i1]
+        diag[i0:i1] = block.diagonal()
+        np.copyto(B[i0:i1, i0:i1], block, where=strict[: i1 - i0, : i1 - i0])
+        np.subtract(panel @ B[i1:].T, panel[:, i1:], out=B[i0:i1, i1:])
+    return diag
 
 
 def _same_kernel_path(z_p, K_pp, target, k, lams):
@@ -320,18 +354,20 @@ def _ridge_solves(P, rhs, ridges, context):
     return out
 
 
-def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam):
+def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam, sq_pp=None):
     """Known-q variant: fit f with K_p f = q pointwise on the p-sample.
 
     q_values holds q(x_i) at the sample points (any function values are
     accepted, q need not be a density):
 
         v = (K_pp^2 K_H + n lam I)^{-1} K_pp q.
+
+    sq_pp is as in solve_type1_path.
     """
     _check_lam(lam)
     z_p = as_sample_matrix(z_p, "z_p")
     q = _check_q_values(q_values, z_p.shape[0])
-    v = _solve_cubic(z_p, q, k, k_h, lam, "type2 system")
+    v = _solve_cubic(z_p, q, k, k_h, lam, "type2 system", sq_pp)
     return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
 
 

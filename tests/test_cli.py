@@ -319,9 +319,9 @@ class TestCommandBlasThreads:
         seen = []
         solve = solvers.solve_linear
 
-        def spy(A, b, context="", positive_definite=False):
+        def spy(A, b, context="", positive_definite=False, **kwargs):
             seen.append((context, positive_definite, blas_thread_count()))
-            return solve(A, b, context, positive_definite=positive_definite)
+            return solve(A, b, context, positive_definite=positive_definite, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_linear", spy)
         run(tmp_path, "estimate", self.ESTIMATE_D5)

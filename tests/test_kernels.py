@@ -194,6 +194,20 @@ class TestPrecomputedSqDists:
         v = rng.standard_normal(27)
         assert np.array_equal(G @ v, plain @ v)
 
+    @pytest.mark.parametrize("m", [1, 7, 400, 2000])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("tail", [1, 37])
+    def test_row_means_in_blocks_bitwise(self, m, normalized, tail):
+        # two whole row blocks and a partial one, so n is no multiple of the block
+        rows = 64 * max(1, kernels._BLOCK_ELEMS // (64 * m))
+        n = 2 * rows + tail
+        rng = np.random.default_rng(m)
+        A, B = rand_points(rng, n, 5, 2.0), rand_points(rng, m, 5, 2.0)
+        spec = KernelSpec(t=0.9, normalized=normalized)
+        whole = gaussian_kernel_matrix(A, B, spec).sum(axis=1) / m
+        assert np.array_equal(kernels.kernel_row_means(A, B, spec), whole)
+        assert np.array_equal(kernels.kernel_row_means(A, B, spec, sq=kernels._sq_dists(A, B)), whole)
+
     def test_wrong_shape_rejected(self):
         rng = np.random.default_rng(40)
         A, B = rand_points(rng, 5, 2), rand_points(rng, 4, 2)

@@ -456,6 +456,21 @@ class TestDistanceRoute:
         self.cv(fit)
         assert calls == {"selection": distances, "kernels": []}
 
+    @pytest.mark.parametrize("setting, distances", [
+        ("type1", [(30, 30), (30, 36)]), ("type15", [(30, 30), (30, 36)]), ("type2", [(30, 30)]),
+    ])
+    def test_one_lambda_direct_solves_read_the_slices(self, monkeypatch, setting, distances):
+        # at one lambda every cell is the direct solve; it builds its Grams
+        # from the fold's slices, to the bits of the Grams built from points
+        grid = (self.GRID[0], [1e-6])
+        fit = fit_factory(setting, t_prime_ratio=3.0, q_fn=gaussian_q)
+        plain = self.cv(without_slices(fit), grid=grid)
+        calls = self.spy_sq_dists(monkeypatch)
+        routed = self.cv(fit, grid=grid)
+        assert calls == {"selection": distances, "kernels": []}
+        assert np.isfinite(routed.fold_scores).all()
+        assert np.array_equal(routed.fold_scores, plain.fold_scores)
+
     def test_plain_callback_receives_distance_slices(self, monkeypatch):
         calls = self.spy_sq_dists(monkeypatch)
         type1 = fit_factory("type1")
@@ -678,8 +693,8 @@ class TestSettingsTable:
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
             assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
-        # a path over one lambda is the direct solve, also given the distances
-        # it then does not read, and so is the CLI's final fit
+        # a path over one lambda is the direct solve, also when it builds its
+        # Grams from given distances, and so is the CLI's final fit
         sq_pp, sq_pq = kernels._sq_dists(z_p, z_p), kernels._sq_dists(z_p, z_q)
         final = self.cli_fit(setting, z_p, z_q, normalized)
         for lam in self.LAMS:

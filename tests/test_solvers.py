@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,8 @@ def p_grams_separately(z_p, k, k_h):
 
 # v of the k_H = k cubic systems (type1, type15, type2) from the factored
 # Cholesky solve against v from the LU of the assembled system: the factors
-# cannot reproduce the LU's bits, and drift by at most 9.1e-13 per entry
-# (1.7e-14 in norm) on these fixtures
+# cannot reproduce the LU's bits, and drift by at most 6.8e-13 per entry
+# (1.4e-14 in norm) on these fixtures
 CUBIC_RTOL = 1e-10
 
 
@@ -289,13 +290,59 @@ class TestFactoredCubic:
         # the benchmark traces solve_linear; the final fit must call it
         calls = []
 
-        def spy(A, b, context="", positive_definite=False):
+        def spy(A, b, context="", positive_definite=False, **kwargs):
             calls.append((context, positive_definite))
-            return solve_linear(A, b, context, positive_definite=positive_definite)
+            return solve_linear(A, b, context, positive_definite=positive_definite, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_linear", spy)
         solve_type1(self.z_p, self.z_q, self.k, self.k, self.LAM)
         assert calls == [("type15 system", True)] * 2
+
+    @pytest.mark.parametrize("lapacke", [True, False])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_positive_definite_solve_reads_one_triangle(self, monkeypatch, lapacke, lower):
+        if not lapacke:
+            monkeypatch.setattr(linalg, "_lapacke", lambda: None)
+        rng = np.random.default_rng(53)
+        X = rng.standard_normal((9, 9))
+        A = X @ X.T + 9.0 * np.eye(9)
+        b = rng.standard_normal(9)
+        other = np.triu_indices(9, 1) if lower else np.tril_indices(9, -1)
+        M = A.copy()
+        M[other] = np.nan
+        x = solve_linear(M, b, positive_definite=True, lower=lower)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=0)
+        assert np.isnan(M[other]).all()
+
+    def test_square_minus_into_upper(self):
+        # two whole panels and a partial one; the strict lower triangle keeps B
+        n = 2 * solvers._PANEL + 19
+        z = instance(54, n=n, d=3)[0]
+        B = gaussian_kernel_matrix(z, z, self.k)
+        M = B.copy()
+        diag = solvers._square_minus_into_upper(M)
+        S = B @ B.T - B
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(np.tril(M, -1), np.tril(B, -1))
+        np.testing.assert_allclose(M[upper], S[upper], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(diag, S.diagonal(), rtol=1e-13, atol=1e-15)
+
+    def test_one_n_by_n_array(self):
+        # the final fit of shift-5d at half its size: the Gram, both factors
+        # and the row-blocked target fit in one n x n array and O(n) panels
+        rng = np.random.default_rng(52)
+        spread = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
+        n = 700
+        z_p, z_q = rng.standard_normal((n, 5)) * spread, rng.standard_normal((2 * n, 5)) * spread
+        fit = fit_factory("type1", normalized=False)
+        tracemalloc.start()
+        try:
+            (est,) = fit(z_p, z_q, 1.0, [1e-7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(est.v))
+        assert peak <= 1.3 * 8 * n * n
 
 
 class TestRegularizationPaths:
@@ -881,9 +928,9 @@ class TestLowRankSpectrum:
         # the factored system, which stay positive definite, and no reduction
         solves = []
 
-        def spy(A, b, context="", positive_definite=False):
+        def spy(A, b, context="", positive_definite=False, **kwargs):
             solves.append(positive_definite)
-            return solve_linear(A, b, context, positive_definite=positive_definite)
+            return solve_linear(A, b, context, positive_definite=positive_definite, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_linear", spy)
         tridiagonal_sizes.clear()
