@@ -99,6 +99,18 @@ REPEATS calls of `kernels._sq_dists`, as sq_dists_ms, and of
 - gram_300x300_d1, gram_2000x300_d1: the n = m = 300 and eval_n = 2000
   shapes of simulate-1d
 
+For the evaluation layer it records the median over REPEATS calls, and the
+`tracemalloc` peak of one call in MiB (the most memory numpy and Python held
+at once in the call), of:
+
+- evaluate_n1378_d5: `solvers.evaluate` of an n = 1378 estimate (centers
+  with shift-5d's coordinate spreads, unnormalized kernel at t = 1) at its
+  own centers, the weights of shift-5d's `downstream`, as eval_ms and
+  eval_peak_mb
+- kde_eval2000_n300_d1: `kernels.kde` of 300 points of dataset 1's p at
+  2000 points of its q (t = 0.4), the sizes of a simulate-1d trial, as
+  kde_ms and kde_peak_mb
+
 Every call but fit_blas_* runs on one BLAS thread, as the CV cells and
 `simulate` trials do.  The record also holds the numpy version, the BLAS
 name and version, whether LAPACKE was found in numpy's OpenBLAS, nproc, the
@@ -158,6 +170,13 @@ TRIAL_SIZES = (
 FINAL_FIT_SIZES = (
     ("final_fit_n1378_d5", 1378, 2000, 5, 1.0, 1e-7),
 )
+# (name, centers, d) and (name, points, evaluation points) of the evaluation layer
+EVAL_SIZES = (
+    ("evaluate_n1378_d5", 1378, 5),
+)
+KDE_SIZES = (
+    ("kde_eval2000_n300_d1", 300, 2000),
+)
 # (name, pool rows, d) of the resampling layer
 RESAMPLE_SIZES = (
     ("resample_pool3000_d5", 3000, 5),
@@ -199,6 +218,16 @@ def median_wall_cpu_ms(fn):
         time.sleep(SETTLE_S)
         cpus.append(time.process_time() - c0)
     return 1e3 * sorted(walls)[len(walls) // 2], 1e3 * sorted(cpus)[len(cpus) // 2]
+
+
+def peak_mb(fn):
+    """The tracemalloc peak of one fn() call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def samples(rng, n, d):
@@ -311,6 +340,24 @@ def run():
 
             results[name] = {"n": n, "m": m, "eval_n": eval_n, "trial_ms": median_ms(trial),
                              "errors": {method: best[0] for method, best in trial().items()}}
+        rng = np.random.default_rng(5)
+        for name, n, d in EVAL_SIZES:
+            centers = cv_samples(rng, n, 0, d)[0]
+            est = solvers.RatioEstimate(centers=centers, v=rng.standard_normal(n),
+                                        kernel=kernels.KernelSpec(t=1.0, normalized=False), scale="plain")
+
+            def weights():
+                return solvers.evaluate(est, centers)
+
+            results[name] = {"n": n, "d": d, "eval_ms": median_ms(weights), "eval_peak_mb": peak_mb(weights)}
+        for name, n, eval_n in KDE_SIZES:
+            points, eval_X = p.sample(n, rng), q.sample(eval_n, rng)
+            spec = kernels.KernelSpec(t=0.4)
+
+            def density():
+                return kernels.kde(points, eval_X, spec)
+
+            results[name] = {"n": n, "eval_n": eval_n, "kde_ms": median_ms(density), "kde_peak_mb": peak_mb(density)}
         rng = np.random.default_rng(3)
         for name, rows, d in RESAMPLE_SIZES:
             pool = cv_samples(rng, rows, 0, d)[0]
@@ -342,12 +389,7 @@ def run():
         with linalg.blas_threads(1):
             row["fit_ms"], row["fit_cpu_ms"] = median_wall_cpu_ms(fit)
             row["grams_ms"] = median_ms(grams)
-            tracemalloc.start()
-            try:
-                fit()
-                row["fit_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-            finally:
-                tracemalloc.stop()
+            row["fit_peak_mb"] = peak_mb(fit)
         row["fit_blas_ms"], row["fit_blas_cpu_ms"] = median_wall_cpu_ms(fit)
         row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
         results[name] = row
@@ -391,6 +433,12 @@ def main(argv=None):
                   f"  on the process's BLAS threads {r['fit_blas_ms']:9.2f} ms (cpu {r['fit_blas_cpu_ms']:9.2f} ms)"
                   f"  grams {r['grams_ms']:9.2f} ms  solve after the grams {r['solve_ms']:9.2f} ms"
                   f"  traced peak {r['fit_peak_mb']:6.2f} MiB")
+            continue
+        if "eval_ms" in r:
+            print(f"{args.label:>8} {name:>14}  evaluate {r['eval_ms']:9.2f} ms  traced peak {r['eval_peak_mb']:6.2f} MiB")
+            continue
+        if "kde_ms" in r:
+            print(f"{args.label:>8} {name:>14}  kde {r['kde_ms']:9.2f} ms  traced peak {r['kde_peak_mb']:6.2f} MiB")
             continue
         if "pca_resample_ms" in r:
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde, kernel_row_means, kernel_rows
 from .linalg import RANK_TOL, NumericalError, pivoted_cholesky, solve_linear
 from .solvers import _check_lams
 
@@ -152,7 +152,8 @@ def tikde_epsilon_grid(z_p, t, sq_pp=None):
     ``sq_pp``, when given, is _sq_dists(z_p, z_p), and the estimate's Gram
     is built from it with the same bits.
     """
-    p_hat = gaussian_kernel_matrix(z_p, z_p, KernelSpec(t=float(t)), sq=sq_pp).mean(axis=1)
+    z_p = as_sample_matrix(z_p, "z_p")
+    p_hat = kernel_row_means(z_p, z_p, KernelSpec(t=float(t)), sq=sq_pp)
     return float(p_hat.max()) * np.power(10.0, -np.arange(1, 7, dtype=np.float64))
 
 
@@ -165,7 +166,7 @@ class LsifRatio:
     kernel: KernelSpec
 
     def evaluate(self, X, clip_negative=False):
-        out = gaussian_kernel_matrix(as_sample_matrix(X, "X"), self.centers, self.kernel) @ self.alpha
+        out = kernel_rows(as_sample_matrix(X, "X"), self.centers, self.kernel, lambda G: G @ self.alpha)
         if clip_negative:
             out = np.maximum(out, 0.0)
         return out
@@ -202,7 +203,7 @@ def lsif_unconstrained(z_p, z_q, t, lam, sq_qp=None, sq_qq=None):
     Phi = gaussian_kernel_matrix(z_q, z_p, k, sq=sq_qp)  # (m, n)
     H = (Phi @ Phi.T) / n
     del Phi  # the solves read only H and h
-    h = gaussian_kernel_matrix(z_q, z_q, k, sq=sq_qq).mean(axis=1)
+    h = kernel_row_means(z_q, z_q, k, sq=sq_qq)
     L = pivoted_cholesky(H, RANK_TOL, m // 3)
     if L is not None:
         core = L @ L.T

@@ -41,7 +41,7 @@ from .config import (
 )
 from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
-from .kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
+from .kernels import PRODUCT_ROWS, KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, row_blocks
 from .linalg import NumericalError, blas_threads
 from .selection import SETTINGS, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
@@ -238,8 +238,6 @@ def run_cv(cfg: EstimateConfig, out_dir, threads=1):
     return run_estimate(cfg, out_dir, threads=threads, final=False, command="cv")
 
 
-# target rows per block of a simulate trial's evaluation sample
-_EVAL_BLOCK = 256
 # OpenBLAS (SkylakeX and later cores) routes a dgemm of at most 100^3
 # multiply-adds to its small-matrix kernels, which add in another order than
 # its blocked kernels do
@@ -247,22 +245,14 @@ _SMALL_GEMM = 100 ** 3
 
 
 def _eval_blocks(rows, cols):
-    """Row slices of a trial's evaluation sample, of about _EVAL_BLOCK rows or more.
+    """The row_blocks of a trial's evaluation sample; ``cols`` is n * L of fire's (rows x n) @ (n x L), 0 without fire.
 
-    ``cols`` is n * L of fire's (rows x n) @ (n x L) predictions, 0 without
-    fire.  Where that whole product is larger than _SMALL_GEMM, so is each
-    block's, and the blocks take the whole product's dgemm route.  Every
-    slice but the last starts and ends at a multiple of 64, so each row keeps
-    its place modulo the vector widths and unrolling of the elementwise loops
-    and of dgemv.  A block's values are then bitwise those rows of the whole
-    sample's.
+    Where that whole product is larger than _SMALL_GEMM, so is each block's, and the blocks take its dgemm route.
     """
-    min_rows = _EVAL_BLOCK - 64
+    least = PRODUCT_ROWS
     if rows * cols > _SMALL_GEMM:
-        min_rows = max(min_rows, _SMALL_GEMM // cols + 1)
-    k = max(1, rows // (min_rows + 64))  # each of the k slices then has at least min_rows rows
-    edges = [64 * (i * rows // (64 * k)) for i in range(k)] + [rows]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+        least = max(least, _SMALL_GEMM // cols + 1)
+    return row_blocks(rows, least)
 
 
 def _block_grams(eval_X, Z, blocks, kernels_at):

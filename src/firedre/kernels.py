@@ -108,22 +108,37 @@ def gaussian_kernel_matrix(A, B, spec: KernelSpec, sq=None):
     return G
 
 
-def kernel_row_means(A, B, spec: KernelSpec, sq=None):
-    """k(A, B).sum(axis=1) / m, bit for bit, without the (n, m) Gram.
+def row_blocks(rows, least):
+    """As many row slices as fit least + 64 rows each, so each has ``least`` rows or more unless it is the only one.
 
-    The Gram is built in row blocks of a multiple of 64 rows, about
-    _BLOCK_ELEMS entries each (the last may be shorter), so every entry
-    keeps its place modulo 64 in the flat array, and with it its lane in
-    the vectorized elementwise loops; each row sum reads its own row alone.
-    ``sq`` is as in gaussian_kernel_matrix.
+    Each slice but the last starts and ends at a multiple of 64, so the entries of a block's Gram keep their
+    places modulo 64 in the flat array, and with them their lanes in the vectorized loops and in dgemv: a row
+    sum or a product with coefficients of a block is bitwise those rows of the whole Gram's.
     """
-    n, m = A.shape[0], B.shape[0]
-    rows = 64 * max(1, _BLOCK_ELEMS // (64 * m))
-    out = np.empty(n)
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        out[block] = gaussian_kernel_matrix(A[block], B, spec, sq=None if sq is None else sq[block]).sum(axis=1)
-    return out / m
+    k = max(1, rows // (least + 64))
+    edges = [64 * (i * rows // (64 * k)) for i in range(k)] + [rows]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+# least rows of each Gram block multiplied into coefficients, unless it is the only one
+PRODUCT_ROWS = 192
+
+
+def kernel_rows(A, B, spec: KernelSpec, reduce, least=PRODUCT_ROWS, sq=None):
+    """reduce(k(A, B)) over the blocks of row_blocks(n, least), for a reduce mapping each Gram row to one value.
+
+    Bitwise reduce of the whole Gram where reduce reads each row alone; ``sq`` is as in gaussian_kernel_matrix.
+    """
+    out = np.empty(A.shape[0])
+    for rows in row_blocks(A.shape[0], least):
+        out[rows] = reduce(gaussian_kernel_matrix(A[rows], B, spec, sq=None if sq is None else sq[rows]))
+    return out
+
+
+def kernel_row_means(A, B, spec: KernelSpec, sq=None):
+    """k(A, B).sum(axis=1) / m, bit for bit, in blocks of _BLOCK_ELEMS entries or more (kernel_rows)."""
+    m = B.shape[0]
+    return kernel_rows(A, B, spec, lambda G: G.sum(axis=1), _BLOCK_ELEMS // m, sq) / m
 
 
 def bandwidth_grid(points, neighbors=10, size=10):
@@ -167,6 +182,4 @@ def kde(points, eval_points, spec: KernelSpec):
     if not spec.normalized:
         raise ValueError("kde requires a normalized kernel spec")
     X = as_sample_matrix(points, "points")
-    E = as_sample_matrix(eval_points, "eval_points")
-    G = gaussian_kernel_matrix(E, X, spec)
-    return G.mean(axis=1)
+    return kernel_row_means(as_sample_matrix(eval_points, "eval_points"), X, spec)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, kernel_rows
 from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 
 
@@ -58,9 +58,8 @@ def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
 
 
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
-    """Evaluate a ratio estimate at new points X (shape (m, d))."""
-    G = gaussian_kernel_matrix(as_sample_matrix(X, "X"), estimate.centers, estimate.kernel)
-    out = estimate.values(G)
+    """Evaluate a ratio estimate at new points X (shape (m, d)): estimate.values(k(X, centers)), by row blocks."""
+    out = kernel_rows(as_sample_matrix(X, "X"), estimate.centers, estimate.kernel, estimate.values)
     if clip_negative:
         out = np.maximum(out, 0.0)
     return out
@@ -138,10 +137,8 @@ def solve_type15_path(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, lams, sq_pp=
     if lams.size == 1:
         return [solve_type15(z_p, z_q, k, k_prime, k, lams[0], sq_pp=sq_pp, sq_pq=sq_pq)]
     z_p = as_sample_matrix(z_p, "z_p")
-    z_q = as_sample_matrix(z_q, "z_q")
-    n, m = z_p.shape[0], z_q.shape[0]
-    K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / n
-    target = gaussian_kernel_matrix(z_p, z_q, k_prime, sq=sq_pq).sum(axis=1) / m
+    K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / z_p.shape[0]
+    target = kernel_row_means(z_p, as_sample_matrix(z_q, "z_q"), k_prime, sq=sq_pq)
     return _same_kernel_path(z_p, K_pp, target, k, lams)
 
 
@@ -328,12 +325,11 @@ def solve_rkhs_loss_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     lams = _check_lams(lams)
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
-    n, m = z_p.shape[0], z_q.shape[0]
     K_pp, K_H = _p_grams(z_p, k, k, sq_pp)
-    target = gaussian_kernel_matrix(z_p, z_q, k, sq=sq_pq).sum(axis=1) / m
+    target = kernel_row_means(z_p, z_q, k, sq=sq_pq)
     P = K_pp @ K_H
     del K_pp, K_H
-    coefs = _ridge_solves(P, target, n * lams, "rkhs_loss system")
+    coefs = _ridge_solves(P, target, z_p.shape[0] * lams, "rkhs_loss system")
     return [RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain") for v in coefs]
 
 

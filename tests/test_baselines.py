@@ -364,6 +364,9 @@ class TestSharedDistances:
         sq_pp = _sq_dists(z_p, z_p)
         for t in bandwidth_grid(z_p)[1]:
             assert np.array_equal(tikde_epsilon_grid(z_p, t, sq_pp=sq_pp), tikde_epsilon_grid(z_p, t))
+            # the row-blocked p-density is the whole Gram's row means
+            p_hat = gaussian_kernel_matrix(z_p, z_p, KernelSpec(t=float(t))).mean(axis=1)
+            assert np.array_equal(tikde_epsilon_grid(z_p, t), float(p_hat.max()) * 10.0 ** -np.arange(1, 7.0))
 
 
 class TestTrueRatio:

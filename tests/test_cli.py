@@ -508,7 +508,7 @@ class TestSharedGramTrial:
         # blocks' products would take OpenBLAS's small-matrix route, the whole's not
         cfg = self.cfg(n_grid=[300], m=300, repetitions=1, eval_n=2400, methods=["fire"])
         blocks = cli._eval_blocks(2400, 300 * len(cfg["grids"]["lambda"]))
-        assert len(blocks) > 1 and all(b.stop - b.start > cli._EVAL_BLOCK for b in blocks)
+        assert len(blocks) > 1 and all(b.stop - b.start > kernels.PRODUCT_ROWS + 64 for b in blocks)
         self.assert_matches_oracle(tmp_path, cfg, threads="1")
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -598,7 +598,7 @@ class TestSharedGramTrial:
                 eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
                 expected += [(digest(z_p), digest(z_p)), (digest(z_p), digest(z_q)), (digest(z_q), digest(z_q))]
                 blocks = cli._eval_blocks(eval_n, n * len(cfg.grids.lam))
-                assert len(blocks) == (1 if eval_n < 2 * cli._EVAL_BLOCK else 2)
+                assert len(blocks) == (1 if eval_n < 2 * (kernels.PRODUCT_ROWS + 64) else 2)
                 expected += [(digest(eval_X[b]), digest(Z)) for Z in (z_p, z_q) for b in blocks]
         # exactly these calls: no distances of all eval_n rows where there are
         # several blocks, so the largest evaluation-side array is block x max(n, m)
@@ -614,7 +614,7 @@ class TestEvalBlocks:
         assert edges[0] == 0 and all(b.stop == e for b, e in zip(blocks, edges[1:]))
         assert all(e % 64 == 0 for e in edges[:-1])
         sizes = [b.stop - b.start for b in blocks]
-        least = cli._EVAL_BLOCK - 64
+        least = kernels.PRODUCT_ROWS
         if rows * cols > cli._SMALL_GEMM:  # each block's product takes the whole product's dgemm route
             assert all(size * cols > cli._SMALL_GEMM for size in sizes)
             least = max(least, cli._SMALL_GEMM // cols + 1)

@@ -198,15 +198,21 @@ class TestPrecomputedSqDists:
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("tail", [1, 37])
     def test_row_means_in_blocks_bitwise(self, m, normalized, tail):
-        # two whole row blocks and a partial one, so n is no multiple of the block
-        rows = 64 * max(1, kernels._BLOCK_ELEMS // (64 * m))
-        n = 2 * rows + tail
         rng = np.random.default_rng(m)
-        A, B = rand_points(rng, n, 5, 2.0), rand_points(rng, m, 5, 2.0)
         spec = KernelSpec(t=0.9, normalized=normalized)
-        whole = gaussian_kernel_matrix(A, B, spec).sum(axis=1) / m
-        assert np.array_equal(kernels.kernel_row_means(A, B, spec), whole)
-        assert np.array_equal(kernels.kernel_row_means(A, B, spec, sq=kernels._sq_dists(A, B)), whole)
+        for d in (1, 5):
+            for blocks in (0, 2, 3):
+                # one block of n = tail rows, or several, the last ragged: n is no multiple of 64
+                n = blocks * (kernels._BLOCK_ELEMS // m + 64) + tail
+                assert len(kernels.row_blocks(n, kernels._BLOCK_ELEMS // m)) == max(1, blocks)
+                A, B = rand_points(rng, n, d, 2.0), rand_points(rng, m, d, 2.0)
+                G = gaussian_kernel_matrix(A, B, spec)
+                whole = G.sum(axis=1) / m
+                assert np.array_equal(G.mean(axis=1), whole)
+                assert np.array_equal(kernels.kernel_row_means(A, B, spec), whole)
+                assert np.array_equal(kernels.kernel_row_means(A, B, spec, sq=kernels._sq_dists(A, B)), whole)
+                if normalized:
+                    assert np.array_equal(kde(B, A, spec), whole)
 
     def test_wrong_shape_rejected(self):
         rng = np.random.default_rng(40)
@@ -316,6 +322,20 @@ class TestBandwidthGrid:
     def test_identical_points_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             bandwidth_grid(np.zeros((12, 1)))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 191, 255, 256, 320, 640, 1378, 2000, 5000])
+    def test_partition(self, rows):
+        for least in (0, 1, 32, 63, 64, 192, 1000, 65536):
+            blocks = kernels.row_blocks(rows, least)
+            edges = [b.start for b in blocks] + [rows]
+            assert edges[0] == 0 and all(b.stop == e for b, e in zip(blocks, edges[1:]))  # every row once, in order
+            assert all(e % 64 == 0 for e in edges[:-1])
+            sizes = [b.stop - b.start for b in blocks]
+            assert min(sizes) > 0
+            assert len(blocks) == max(1, rows // (least + 64))
+            assert len(blocks) == 1 or min(sizes) >= least  # only a lone slice may be under the floor
 
 
 class TestKde:

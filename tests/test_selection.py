@@ -498,6 +498,7 @@ class TestDistanceRoute:
 
         spy(solvers)
         spy(selection)
+        spy(kernels)  # the path's target is summed in kernels.kernel_row_means
         self.cv(fit_factory("type15"))
         # 30 points in 3 folds of 10: per (fold, t) a 20 x 20, a 20 x 36 and a 10 x 20 Gram
         per_cell = [(20, 20, True), (20, 36, True), (10, 20, True)]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firedre import linalg, solvers
-from firedre.baselines import GaussianDensity, MixtureDensity
+from firedre.baselines import GaussianDensity, LsifRatio, MixtureDensity
 from firedre.data import simulate
-from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix
+from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, kde
 from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 from firedre.selection import LAMBDA_GRID, fit_factory, kfold_cv, make_validation_set
 from firedre.solvers import (
@@ -752,6 +752,42 @@ class TestEvaluateAndValidation:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             RatioEstimate(centers=np.zeros((1, 1)), v=np.zeros(1), kernel=KernelSpec(t=1.0), scale="raw")
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 129, 191, 255, 256, 640, 1378, 2000, 5000])
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_row_blocks_equal_whole_gram_product(self, rows, d):
+        # evaluate and LsifRatio.evaluate build k(X, centers) in row blocks;
+        # each block's product is bitwise those rows of the whole one on one
+        # BLAS thread, as every command runs (on two, OpenBLAS splits the
+        # whole 1378-row dgemv across threads and moves a few last bits)
+        rng = np.random.default_rng(rows + d)
+        X = rng.standard_normal((rows, d))
+        with linalg.blas_threads(1):
+            for n in (1, 7, 300, 1378, 2000):
+                centers, v = rng.standard_normal((n, d)) * 1.5, rng.standard_normal(n)
+                k = KernelSpec(t=0.8, normalized=d == 1)
+                product = gaussian_kernel_matrix(X, centers, k) @ v
+                plain = RatioEstimate(centers=centers, v=v, kernel=k, scale="plain")
+                assert np.array_equal(plain.evaluate(X), product)
+                over_n = RatioEstimate(centers=centers, v=v, kernel=k, scale="over_n")
+                assert np.array_equal(evaluate(over_n, X), product / n)
+                assert np.array_equal(LsifRatio(centers=centers, alpha=v, kernel=k).evaluate(X), product)
+
+    @pytest.mark.parametrize("name", ["evaluate", "kde"])
+    def test_holds_a_quarter_of_the_gram(self, name):
+        # 4000 points against 1500 centers in d = 5: the whole Gram is 48 MB
+        rng = np.random.default_rng(23)
+        X, centers = rng.standard_normal((4000, 5)), rng.standard_normal((1500, 5))
+        k = KernelSpec(t=1.0)
+        est = RatioEstimate(centers=centers, v=rng.standard_normal(1500), kernel=k, scale="over_n")
+        call = {"evaluate": lambda: evaluate(est, X), "kde": lambda: kde(centers, X, k)}[name]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4000 * 1500 * 8 / 4
 
 
 class TestSolverErrors:
