@@ -52,7 +52,8 @@ serially, with the selected cell:
 
 For the simulate trial it records, as trial_ms, the median over REPEATS
 calls of `cli._bench_trial` with fire (type15), tikde and lsif over the
-ten-value `bandwidth_grid` of the p-points and the six-value lambda grid:
+ten-value `bandwidth_grid` of the p-points and the six-value lambda grid,
+and as trial_peak_mb the `tracemalloc` peak of one call in MiB:
 
 - simulate_trial_n300_m300_eval2000: n = m = 300 and 2000 evaluation
   points of the paper's dataset 1, the sizes of one trial of the
@@ -339,6 +340,7 @@ def run():
                 return cli._bench_trial(("fire", "tikde", "lsif"), z_p, z_q, eval_X, r_eval, t_grid, lams, fit)
 
             results[name] = {"n": n, "m": m, "eval_n": eval_n, "trial_ms": median_ms(trial),
+                             "trial_peak_mb": peak_mb(trial),
                              "errors": {method: best[0] for method, best in trial().items()}}
         rng = np.random.default_rng(5)
         for name, n, d in EVAL_SIZES:
@@ -444,7 +446,8 @@ def main(argv=None):
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")
             continue
         if "trial_ms" in r:
-            print(f"{args.label:>8} {name:>14}  _bench_trial {r['trial_ms']:9.2f} ms  errors {r['errors']}")
+            print(f"{args.label:>8} {name:>14}  _bench_trial {r['trial_ms']:9.2f} ms"
+                  f"  traced peak {r['trial_peak_mb']:6.2f} MiB  errors {r['errors']}")
             continue
         if "sq_dists_ms" in r:
             print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms  gram {r['gram_ms']:9.2f} ms")

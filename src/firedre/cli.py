@@ -2,21 +2,23 @@
 
 Subcommands: estimate | cv | simulate | downstream | resample.  Each takes
 --config <json> plus --seed / --out / --threads overrides, writes results
-and a fully resolved config echo into the output directory, and exits 0 on
-success, 2 on config validation failure, 3 on numerical failure (with a
-one-line JSON reason on stderr).  Re-running any command from its echoed
-config reproduces the outputs byte for byte, apart from the timestamp, on
-the same numpy/BLAS build (the last bits of BLAS results can change with
-the build).  Every runner runs its body inside one linalg.blas_threads(1)
-region, so neither --threads nor the BLAS thread count (OPENBLAS_NUM_THREADS)
-changes an output bit, and no idle OpenBLAS worker spins after a parallel
-call.  --threads (default: the usable CPUs) sets the workers that run CV
-cells and simulate trials; the final fit and evaluation run on the calling
-thread alone, so they take longer in wall time than on several BLAS
-threads.  A simulate trial computes its squared distances once, those
-among its samples for every fit and those of each row block of the
-evaluation sample to them, and builds each distinct kernel's Gram once per
-(block, bandwidth) from them, shared by the methods whose kernels are equal.
+and a fully resolved config echo into the output directory (one writer,
+_write_outputs, which makes the directory only once the results are
+complete), and exits 0 on success, 2 on config validation failure, 3 on
+numerical failure (with a one-line JSON reason on stderr).  Re-running any
+command from its echoed config reproduces the outputs byte for byte, apart
+from the timestamp, on the same numpy/BLAS build (the last bits of BLAS
+results can change with the build).  Every runner runs its body inside one
+linalg.blas_threads(1) region, so neither --threads nor the BLAS thread
+count (OPENBLAS_NUM_THREADS) changes an output bit, and no idle OpenBLAS
+worker spins after a parallel call.  --threads (default: the usable CPUs)
+sets the workers that run CV cells and simulate trials; the final fit and
+evaluation run on the calling thread alone, so they take longer in wall
+time than on several BLAS threads.  A simulate trial computes its squared
+distances once, those among its samples for every fit and those of each
+row block of the evaluation sample to them; one loop (_read_blocks) builds
+each distinct kernel's Gram once per (block, bandwidth) and applies every
+method's reads of it.
 """
 
 import argparse
@@ -105,6 +107,16 @@ def write_csv(path, header, rows):
 
 def _timestamp():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _write_outputs(out_dir, cfg, payload, csvs):
+    """Make out_dir, write each (name, header, rows) of csvs, results.json and config_echo.json; return payload."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, header, rows in csvs:
+        write_csv(os.path.join(out_dir, name), header, rows)
+    write_json(os.path.join(out_dir, "results.json"), payload)
+    write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
+    return payload
 
 
 # === shared pipeline pieces ===
@@ -211,14 +223,12 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
         "selected_lambda": cvres.selected_lam,
         "cv_surface": _cv_payload(cvres),
     }
-    os.makedirs(out_dir, exist_ok=True)
+    csvs = []
     if final:
         est = fit(z_p, z_q, cvres.selected_t, [cvres.selected_lam])[0]
         weights = est.evaluate(z_p, clip_negative=cfg.clip_negative)
-        centers_path = os.path.join(out_dir, "centers.csv")
-        weights_path = os.path.join(out_dir, "weights.csv")
-        write_csv(centers_path, [f"x{j}" for j in range(z_p.shape[1])], z_p)
-        write_csv(weights_path, ["weight"], weights[:, None])
+        header = [f"x{j}" for j in range(z_p.shape[1])]
+        csvs = [("centers.csv", header, z_p), ("weights.csv", ["weight"], weights[:, None])]
         payload.update(
             {
                 "coefficients": est.v,
@@ -229,9 +239,7 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
                 "weights_mean": float(np.mean(weights)),
             }
         )
-    write_json(os.path.join(out_dir, "results.json"), payload)
-    write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
-    return payload
+    return _write_outputs(out_dir, cfg, payload, csvs)
 
 
 def run_cv(cfg: EstimateConfig, out_dir, threads=1):
@@ -255,19 +263,25 @@ def _eval_blocks(rows, cols):
     return row_blocks(rows, least)
 
 
-def _block_grams(eval_X, Z, blocks, kernels_at):
-    """Yield (rows, it, spec, k(eval_X[rows], Z)) for each row block, t index and distinct spec of kernels_at[it].
+def _read_blocks(eval_X, Z, blocks, reads):
+    """Apply each (kernel, out, coef) read of reads[it] to k_t(eval_X[rows], Z) by row blocks: out[rows] = G @ coef.
 
-    D(eval_X[rows], Z) is computed once per block, and each Gram is built
-    from it; the caller drops a Gram before asking for the next, so one is
-    alive at a time.
+    coef None reads G.mean(axis=1).  Per block, D(eval_X[rows], Z) is computed
+    once, and per t each distinct kernel's Gram once from it, dropped before
+    the next is built.  With no reads, nothing is computed.
     """
+    if not any(reads):
+        return
     for rows in blocks:
         X = eval_X[rows]
         sq = _sq_dists(X, Z)
-        for it, specs in enumerate(kernels_at):
-            for spec in dict.fromkeys(specs):
-                yield rows, it, spec, gaussian_kernel_matrix(X, Z, spec, sq=sq)
+        for reads_t in reads:
+            for kernel in dict.fromkeys(k for k, _, _ in reads_t):
+                G = gaussian_kernel_matrix(X, Z, kernel, sq=sq)
+                for k, out, coef in reads_t:
+                    if k == kernel:
+                        out[rows] = G.mean(axis=1) if coef is None else G @ coef
+                del G
         del sq
 
 
@@ -276,14 +290,13 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
 
     The squared distances D(z_p, z_p), D(z_p, z_q) and D(z_q, z_q) are
     computed once, and every fit at every t builds its Grams from them:
-    fire's path, TIKDE's threshold grid and LSIF's lambda list.  Then the
-    predictions at eval_X are computed in row blocks (_eval_blocks), first
-    against z_q (TIKDE's q-density, LSIF's predictions), then against z_p
-    (fire's predictions, TIKDE's p-density): per block, the distances to
-    z_q or z_p are computed once, and per t each distinct kernel's Gram is
-    built once from them.  A method is scored once its predictions are
-    complete, per t and then per lambda or epsilon, and every error is
-    bitwise what whole evaluation Grams built from the points give.
+    fire's path, TIKDE's threshold grid and LSIF's lambda list.  Per t, each
+    method then declares what it reads off the evaluation Grams
+    (_read_blocks, in _eval_blocks): LSIF each solved lambda's alpha, fire
+    its n x L stacked coefficients, TIKDE its density.  The reads against
+    z_q run first, and LSIF is scored and its predictions freed before
+    fire's are allocated for the reads against z_p.  Every error is bitwise
+    what whole evaluation Grams built from the points give.
 
     A fire fit that fails at some t skips only fire at that t.  A ratio is
     nonnegative, so every method's predictions are clamped at zero before
@@ -304,8 +317,8 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
         except (NumericalError, np.linalg.LinAlgError):
             continue
         fire[it] = (ests[0].kernel, np.stack([e.v if e.scale == "plain" else e.v / n for e in ests], axis=1))
-    lsif = [lsif_unconstrained(z_p, z_q, t, lam_grid, sq_qp=sq_pq.T, sq_qq=sq_qq) for t in t_grid] if use_lsif else []
-    eps_grids = [tikde_epsilon_grid(z_p, t, sq_pp=sq_pp) for t in t_grid] if use_tikde else []
+    lsif = [lsif_unconstrained(z_p, z_q, t, lam_grid, sq_pq.T, sq_qq) for t in t_grid] if use_lsif else [()] * T
+    eps_grids = [tikde_epsilon_grid(z_p, t, sq_pp=sq_pp) for t in t_grid] if use_tikde else [()] * T
     del sq_pp, sq_pq, sq_qq
 
     best = {method: (np.inf, np.nan, np.nan) for method in methods}
@@ -315,38 +328,31 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
             best[method] = (float(err), float(t), float(param))
 
     blocks = _eval_blocks(N, n * L if use_fire else 0)
-    if use_tikde or use_lsif:
-        q_hat = np.empty((T, N)) if use_tikde else None
-        preds = np.empty((T, L, N)) if use_lsif else None  # LSIF's, each lambda's row contiguous
-        for rows, it, _, G in _block_grams(eval_X, z_q, blocks, [[k] for k in specs]):
-            if use_tikde:
-                q_hat[it, rows] = G.mean(axis=1)
-            for j, est in enumerate(lsif[it] if use_lsif else ()):
-                if est is not None:
-                    preds[it, j, rows] = G @ est.alpha
-            del G
-        for it, t in enumerate(t_grid if use_lsif else ()):
-            for j, (lam, est) in enumerate(zip(lam_grid, lsif[it])):
-                if est is not None:
-                    offer("lsif", float(np.mean((np.maximum(preds[it, j], 0.0) - r_eval) ** 2)), t, lam)
-        del preds  # no view of it is left, so the memory goes before the z_p side's blocks
-    if use_fire or use_tikde:
-        p_hat = np.empty((T, N)) if use_tikde else None
-        preds = np.empty((T, N, L)) if use_fire else None  # fire's
-        on_p = [([fire[it][0]] if fire[it] else []) + ([k] if use_tikde else []) for it, k in enumerate(specs)]
-        for rows, it, spec, G in _block_grams(eval_X, z_p, blocks, on_p):
-            if fire[it] and spec == fire[it][0]:
-                preds[it, rows] = G @ fire[it][1]
-            if use_tikde and spec == specs[it]:
-                p_hat[it, rows] = G.mean(axis=1)
-            del G
-        for it, t in enumerate(t_grid):
-            if fire[it]:
-                errs = np.mean((np.maximum(preds[it], 0.0) - r_eval[:, None]) ** 2, axis=0)
-                j = int(np.argmin(errs))
-                offer("fire", errs[j], t, lam_grid[j])
-            for eps in eps_grids[it] if use_tikde else ():
-                offer("tikde", float(np.mean((q_hat[it] / np.maximum(p_hat[it], eps) - r_eval) ** 2)), t, eps)
+    q_hat = np.empty((T, N)) if use_tikde else None
+    preds = np.empty((T, L, N)) if use_lsif else None  # LSIF's, each lambda's row contiguous
+    _read_blocks(eval_X, z_q, blocks, [
+        ([(k, q_hat[it], None)] if use_tikde else [])
+        + [(k, preds[it, j], est.alpha) for j, est in enumerate(lsif[it]) if est is not None]
+        for it, k in enumerate(specs)
+    ])
+    for it, t in enumerate(t_grid):
+        for j, (lam, est) in enumerate(zip(lam_grid, lsif[it])):
+            if est is not None:
+                offer("lsif", float(np.mean((np.maximum(preds[it, j], 0.0) - r_eval) ** 2)), t, lam)
+    del preds  # no view of it is left, so the memory goes before fire's predictions
+    p_hat = np.empty((T, N)) if use_tikde else None
+    preds = np.empty((T, N, L)) if use_fire else None  # fire's
+    _read_blocks(eval_X, z_p, blocks, [
+        ([(fire[it][0], preds[it], fire[it][1])] if fire[it] else []) + ([(k, p_hat[it], None)] if use_tikde else [])
+        for it, k in enumerate(specs)
+    ])
+    for it, t in enumerate(t_grid):
+        if fire[it]:
+            errs = np.mean((np.maximum(preds[it], 0.0) - r_eval[:, None]) ** 2, axis=0)
+            j = int(np.argmin(errs))
+            offer("fire", errs[j], t, lam_grid[j])
+        for eps in eps_grids[it]:
+            offer("tikde", float(np.mean((q_hat[it] / np.maximum(p_hat[it], eps) - r_eval) ** 2)), t, eps)
     return best
 
 
@@ -392,11 +398,7 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         "medians": medians,
         "rows_path": "bench.csv",
     }
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "bench.csv"), ["method", "n", "rep", "error", "t", "param"], rows)
-    write_json(os.path.join(out_dir, "results.json"), payload)
-    write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
-    return payload
+    return _write_outputs(out_dir, cfg, payload, [("bench.csv", ["method", "n", "rep", "error", "t", "param"], rows)])
 
 
 @blas_threads(1)
@@ -416,16 +418,7 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
     if cfg.task == "classification" and not (np.all(np.isin(y_tr, (-1.0, 1.0))) and np.all(np.isin(y_te, (-1.0, 1.0)))):
         raise ConfigError("classification labels must be -1/+1")
 
-    est_cfg = EstimateConfig(
-        seed=cfg.seed,
-        p=cfg.train,
-        q=cfg.ratio_q if cfg.ratio_q is not None else cfg.test,
-        solver=cfg.solver,
-        grids=cfg.grids,
-        validation=cfg.validation,
-        cv=cfg.cv,
-    )
-    cvres, fit = _select_cell(est_cfg, X_tr, X_rq, None, threads)
+    cvres, fit = _select_cell(cfg, X_tr, X_rq, None, threads)
     est = fit(X_tr, X_rq, cvres.selected_t, [cvres.selected_lam])[0]
     weights = est.evaluate(X_tr, clip_negative=cfg.clip_weights)
 
@@ -459,11 +452,7 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
         "ratio": {"selected_t": cvres.selected_t, "selected_lambda": cvres.selected_lam},
         "weights_path": "weights.csv",
     }
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "weights.csv"), ["weight"], weights[:, None])
-    write_json(os.path.join(out_dir, "results.json"), payload)
-    write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
-    return payload
+    return _write_outputs(out_dir, cfg, payload, [("weights.csv", ["weight"], weights[:, None])])
 
 
 @blas_threads(1)
@@ -503,11 +492,7 @@ def run_resample(cfg: ResampleConfig, out_dir):
             rows = np.column_stack([res.X, res.labels])
         else:
             rows = [[*row, lab] for row, lab in zip(res.X.tolist(), res.labels.tolist())]
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "kept.csv"), header, rows)
-    write_json(os.path.join(out_dir, "results.json"), payload)
-    write_json(os.path.join(out_dir, "config_echo.json"), cfg.to_dict())
-    return payload
+    return _write_outputs(out_dir, cfg, payload, [("kept.csv", header, rows)])
 
 
 # === entry point ===

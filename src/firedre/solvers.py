@@ -171,17 +171,6 @@ def _spectrum(K_pp):
     return w, Q_L @ V
 
 
-def _add_ridge(A, ridge):
-    """A + ridge * I, added to the diagonal in place; returns A.
-
-    Equal bit for bit to A + ridge * np.eye(n), because A, built here from
-    Gaussian Grams, holds no -0.0 (x + 0.0 is x for every other x), and
-    without the two n x n temporaries.
-    """
-    A[np.diag_indices_from(A)] += ridge
-    return A
-
-
 def _solve_cubic(z_p, target, k, k_h, lam, context, sq_pp=None):
     """v = (K_pp^2 K_H + n lam I)^{-1} K_pp target, the direct system of type1, type15 and type2.
 
@@ -199,9 +188,9 @@ def _solve_cubic(z_p, target, k, k_h, lam, context, sq_pp=None):
     if k_h != k:
         K_pp, K_H = _p_grams(z_p, k, k_h, sq_pp)
         rhs = K_pp @ target
-        A = _add_ridge(np.matmul(K_pp @ K_pp, K_H, out=K_pp), n * lam)
+        A = np.matmul(K_pp @ K_pp, K_H, out=K_pp)
         del K_pp, K_H  # the solve then holds only A and LAPACK's copy of it
-        return solve_linear(A, rhs, context)
+        return _ridge_solves(A, rhs, [n * lam], context)[0]
     B = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp)
     B /= n
     rhs = B @ target
@@ -336,10 +325,10 @@ def solve_rkhs_loss_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
 def _ridge_solves(P, rhs, ridges, context):
     """(P + ridge I)^{-1} rhs for each ridge, by LU, with P's diagonal set in place per ridge.
 
-    Each shifted diagonal is the saved diagonal plus the ridge, the same sum
-    as _add_ridge, so every solve equals its own assembled system bit for
-    bit while P is the one n x n array held.  P is left shifted by the last
-    ridge.
+    Each shifted diagonal is the saved diagonal plus the ridge, the sum
+    P + ridge * I gives (P, built from Gaussian Grams, holds no -0.0), so
+    every solve equals its own assembled system bit for bit while P is the
+    one n x n array held.  P is left shifted by the last ridge.
     """
     diag = P.diagonal().copy()
     idx = np.diag_indices_from(P)

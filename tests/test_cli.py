@@ -363,6 +363,30 @@ class TestCommandBlasThreads:
         assert seen and set(seen) == {1}
         assert blas_thread_count() == caller_blas_threads
 
+    # each command's files besides results.json and config_echo.json
+    OWN_FILES = {
+        "estimate": {"centers.csv", "weights.csv"},
+        "cv": set(),
+        "simulate": {"bench.csv"},
+        "downstream": {"weights.csv"},
+        "resample": {"kept.csv"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OWN_FILES))
+    def test_each_runner_writes_exactly_its_own_files(self, tmp_path, command):
+        self.runners(tmp_path)[command]()
+        out_dir = tmp_path / command[0]  # runners() names each output directory by its command's initial
+        assert set(os.listdir(out_dir)) == self.OWN_FILES[command] | {"results.json", "config_echo.json"}
+
+    def test_estimate_whose_final_fit_fails_makes_no_output_directory(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("planted final-fit failure")
+
+        monkeypatch.setattr(solvers, "evaluate", fail)
+        with pytest.raises(NumericalError, match="planted final-fit failure"):
+            self.runners(tmp_path)["estimate"]()
+        assert not (tmp_path / "e").exists()
+
 
 # === oracle: per-method bandwidth loops over whole evaluation Grams built from the points ===
 
