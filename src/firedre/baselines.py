@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde, kernel_row_means, kernel_rows
+from .kernels import (
+    KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde, kernel_row_means, product_blocks, read_rows,
+)
 from .linalg import RANK_TOL, NumericalError, pivoted_cholesky, solve_linear
 from .solvers import _check_lams
 
@@ -166,7 +168,9 @@ class LsifRatio:
     kernel: KernelSpec
 
     def evaluate(self, X, clip_negative=False):
-        out = kernel_rows(as_sample_matrix(X, "X"), self.centers, self.kernel, lambda G: G @ self.alpha)
+        X = as_sample_matrix(X, "X")
+        out = np.empty(X.shape[0])
+        read_rows(X, self.centers, product_blocks(X.shape[0], 0), [(self.kernel, out, self.alpha)])
         if clip_negative:
             out = np.maximum(out, 0.0)
         return out

@@ -14,11 +14,12 @@ count (OPENBLAS_NUM_THREADS) changes an output bit, and no idle OpenBLAS
 worker spins after a parallel call.  --threads (default: the usable CPUs)
 sets the workers that run CV cells and simulate trials; the final fit and
 evaluation run on the calling thread alone, so they take longer in wall
-time than on several BLAS threads.  A simulate trial computes its squared
-distances once, those among its samples for every fit and those of each
-row block of the evaluation sample to them; one loop (_read_blocks) builds
-each distinct kernel's Gram once per (block, bandwidth) and applies every
-method's reads of it.
+time than on several BLAS threads.  A simulate trial computes the squared
+distances among its samples once for every fit; each method then lists the
+(kernel, output, coefficients) reads it takes off the evaluation Grams, and
+kernels.read_rows applies them by row blocks of the evaluation sample,
+computing each block's distances once and each distinct kernel's Gram once
+per block.
 """
 
 import argparse
@@ -43,7 +44,8 @@ from .config import (
 )
 from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
-from .kernels import PRODUCT_ROWS, KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, row_blocks
+from .kernels import KernelSpec, _sq_dists, bandwidth_grid, product_blocks, read_rows
+from .kernels import gaussian_kernel_matrix  # noqa: F401  unused; benchmark/test_bench.py checks its tracing here
 from .linalg import NumericalError, blas_threads
 from .selection import SETTINGS, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
 
@@ -246,54 +248,15 @@ def run_cv(cfg: EstimateConfig, out_dir, threads=1):
     return run_estimate(cfg, out_dir, threads=threads, final=False, command="cv")
 
 
-# OpenBLAS (SkylakeX and later cores) routes a dgemm of at most 100^3
-# multiply-adds to its small-matrix kernels, which add in another order than
-# its blocked kernels do
-_SMALL_GEMM = 100 ** 3
-
-
-def _eval_blocks(rows, cols):
-    """The row_blocks of a trial's evaluation sample; ``cols`` is n * L of fire's (rows x n) @ (n x L), 0 without fire.
-
-    Where that whole product is larger than _SMALL_GEMM, so is each block's, and the blocks take its dgemm route.
-    """
-    least = PRODUCT_ROWS
-    if rows * cols > _SMALL_GEMM:
-        least = max(least, _SMALL_GEMM // cols + 1)
-    return row_blocks(rows, least)
-
-
-def _read_blocks(eval_X, Z, blocks, reads):
-    """Apply each (kernel, out, coef) read of reads[it] to k_t(eval_X[rows], Z) by row blocks: out[rows] = G @ coef.
-
-    coef None reads G.mean(axis=1).  Per block, D(eval_X[rows], Z) is computed
-    once, and per t each distinct kernel's Gram once from it, dropped before
-    the next is built.  With no reads, nothing is computed.
-    """
-    if not any(reads):
-        return
-    for rows in blocks:
-        X = eval_X[rows]
-        sq = _sq_dists(X, Z)
-        for reads_t in reads:
-            for kernel in dict.fromkeys(k for k, _, _ in reads_t):
-                G = gaussian_kernel_matrix(X, Z, kernel, sq=sq)
-                for k, out, coef in reads_t:
-                    if k == kernel:
-                        out[rows] = G.mean(axis=1) if coef is None else G @ coef
-                del G
-        del sq
-
-
 def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     """Oracle-selected (error, t, param) per method, from distances computed once.
 
     The squared distances D(z_p, z_p), D(z_p, z_q) and D(z_q, z_q) are
     computed once, and every fit at every t builds its Grams from them:
     fire's path, TIKDE's threshold grid and LSIF's lambda list.  Per t, each
-    method then declares what it reads off the evaluation Grams
-    (_read_blocks, in _eval_blocks): LSIF each solved lambda's alpha, fire
-    its n x L stacked coefficients, TIKDE its density.  The reads against
+    method then lists what it reads off the evaluation Grams (read_rows, in
+    product_blocks): LSIF each solved lambda's alpha, fire its n x L stacked
+    coefficients, TIKDE its density (a row mean).  The reads against
     z_q run first, and LSIF is scored and its predictions freed before
     fire's are allocated for the reads against z_p.  Every error is bitwise
     what whole evaluation Grams built from the points give.
@@ -327,25 +290,22 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
         if err < best[method][0]:
             best[method] = (float(err), float(t), float(param))
 
-    blocks = _eval_blocks(N, n * L if use_fire else 0)
+    blocks = product_blocks(N, n * L if use_fire else 0)  # fire's (N x n) @ (n x L); LSIF's are dgemv
     q_hat = np.empty((T, N)) if use_tikde else None
     preds = np.empty((T, L, N)) if use_lsif else None  # LSIF's, each lambda's row contiguous
-    _read_blocks(eval_X, z_q, blocks, [
-        ([(k, q_hat[it], None)] if use_tikde else [])
-        + [(k, preds[it, j], est.alpha) for j, est in enumerate(lsif[it]) if est is not None]
-        for it, k in enumerate(specs)
-    ])
+    reads = [(k, q_hat[it], None) for it, k in enumerate(specs) if use_tikde]
+    reads += [(e.kernel, preds[it, j], e.alpha) for it, fits in enumerate(lsif) for j, e in enumerate(fits) if e]
+    read_rows(eval_X, z_q, blocks, reads)
     for it, t in enumerate(t_grid):
         for j, (lam, est) in enumerate(zip(lam_grid, lsif[it])):
             if est is not None:
                 offer("lsif", float(np.mean((np.maximum(preds[it, j], 0.0) - r_eval) ** 2)), t, lam)
-    del preds  # no view of it is left, so the memory goes before fire's predictions
+    del preds, reads  # no view of LSIF's predictions is left, so the memory goes before fire's predictions
     p_hat = np.empty((T, N)) if use_tikde else None
     preds = np.empty((T, N, L)) if use_fire else None  # fire's
-    _read_blocks(eval_X, z_p, blocks, [
-        ([(fire[it][0], preds[it], fire[it][1])] if fire[it] else []) + ([(k, p_hat[it], None)] if use_tikde else [])
-        for it, k in enumerate(specs)
-    ])
+    reads = [(f[0], preds[it], f[1]) for it, f in enumerate(fire) if f]
+    reads += [(k, p_hat[it], None) for it, k in enumerate(specs) if use_tikde]
+    read_rows(eval_X, z_p, blocks, reads)
     for it, t in enumerate(t_grid):
         if fire[it]:
             errs = np.mean((np.maximum(preds[it], 0.0) - r_eval[:, None]) ** 2, axis=0)

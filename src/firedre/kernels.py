@@ -123,22 +123,52 @@ def row_blocks(rows, least):
 # least rows of each Gram block multiplied into coefficients, unless it is the only one
 PRODUCT_ROWS = 192
 
+# OpenBLAS (SkylakeX and later cores) routes a dgemm of at most 100^3
+# multiply-adds to its small-matrix kernels, which add in another order than
+# its blocked kernels do
+_SMALL_GEMM = 100 ** 3
 
-def kernel_rows(A, B, spec: KernelSpec, reduce, least=PRODUCT_ROWS, sq=None):
-    """reduce(k(A, B)) over the blocks of row_blocks(n, least), for a reduce mapping each Gram row to one value.
 
-    Bitwise reduce of the whole Gram where reduce reads each row alone; ``sq`` is as in gaussian_kernel_matrix.
+def product_blocks(rows, others):
+    """The row_blocks of one side of a dgemm whose two other sides multiply to ``others``, 0 for a dgemv.
+
+    Where the whole product is larger than _SMALL_GEMM, so is each block's, and the blocks take its dgemm route.
     """
-    out = np.empty(A.shape[0])
-    for rows in row_blocks(A.shape[0], least):
-        out[rows] = reduce(gaussian_kernel_matrix(A[rows], B, spec, sq=None if sq is None else sq[rows]))
-    return out
+    least = PRODUCT_ROWS
+    if rows * others > _SMALL_GEMM:
+        least = max(least, _SMALL_GEMM // others + 1)
+    return row_blocks(rows, least)
+
+
+def read_rows(X, Z, blocks, reads, sq=None):
+    """Apply each (kernel, out, coef) of reads to k(X, Z) by the row slices of blocks: out[rows] = G @ coef.
+
+    coef None reads G.mean(axis=1).  Per block, each distinct kernel's Gram
+    is built once and dropped before the next: a lone kernel's over its own
+    distances, in place; several from one D(X[rows], Z); every one from
+    sq[rows] when ``sq`` (as in gaussian_kernel_matrix) is given.  Over the
+    slices of row_blocks, each out is bitwise that read of the whole Gram.
+    With no reads, nothing is computed.
+    """
+    by_kernel = {}
+    for kernel, out, coef in reads:
+        by_kernel.setdefault(kernel, []).append((out, coef))
+    for rows in blocks if by_kernel else ():
+        A = X[rows]
+        D = sq[rows] if sq is not None else _sq_dists(A, Z) if len(by_kernel) > 1 else None
+        for kernel, kernel_reads in by_kernel.items():
+            G = gaussian_kernel_matrix(A, Z, kernel, sq=D)
+            for out, coef in kernel_reads:
+                out[rows] = G.mean(axis=1) if coef is None else G @ coef
+            del G
+        del D
 
 
 def kernel_row_means(A, B, spec: KernelSpec, sq=None):
-    """k(A, B).sum(axis=1) / m, bit for bit, in blocks of _BLOCK_ELEMS entries or more (kernel_rows)."""
-    m = B.shape[0]
-    return kernel_rows(A, B, spec, lambda G: G.sum(axis=1), _BLOCK_ELEMS // m, sq) / m
+    """k(A, B).mean(axis=1), bit for bit, in blocks of _BLOCK_ELEMS entries or more (read_rows)."""
+    out = np.empty(A.shape[0])
+    read_rows(A, B, row_blocks(A.shape[0], _BLOCK_ELEMS // B.shape[0]), [(spec, out, None)], sq)
+    return out
 
 
 def bandwidth_grid(points, neighbors=10, size=10):

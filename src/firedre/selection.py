@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelSpec, _sq_dists, as_sample_matrix, gaussian_kernel_matrix
+from .kernels import KernelSpec, _sq_dists, as_sample_matrix, gaussian_kernel_matrix, product_blocks, read_rows
 from .linalg import NumericalError, blas_threads
 from .solvers import (
     RatioEstimate,
@@ -62,8 +62,9 @@ class ValidationSet:
             return (self.coef @ X.T > 0).astype(np.float64)
         if self.family == "coordinate":
             return X.T[: self.count].copy()
-        G = gaussian_kernel_matrix(self.anchors, X, self.kernel)
-        vals = self.coef @ G
+        vals = np.empty((self.count, X.shape[0]))
+        for cols in product_blocks(X.shape[0], self.coef.size):  # bitwise the whole coef @ k(anchors, X)
+            vals[:, cols] = self.coef @ gaussian_kernel_matrix(self.anchors, X[cols], self.kernel)
         if self.family == "kernel_indicator":
             return (vals > 0).astype(np.float64)
         return vals
@@ -261,25 +262,31 @@ def _values_at(estimates, X, centers, sq):
     """Each estimate's values at X, None where evaluation fails.
 
     Estimates that share one centers array and one kernel, as those of a
-    path solver do, read one Gram k(X, centers): est.values(G) is exactly
-    est.evaluate(X).  ``sq`` holds the squared distances from X to
-    ``centers``; when the estimates are centered on that array itself, the
-    Gram is built from it.  Any other list is evaluated estimate by estimate.
+    path solver do, read one k(X, centers) by row blocks (read_rows), each
+    its own coefficient vector: bitwise est.evaluate(X).  ``sq`` holds the
+    squared distances from X to ``centers``; when the estimates are centered
+    on that array itself, the Gram is built from it.  Any other list is
+    evaluated estimate by estimate.
     """
     estimates = list(estimates)
-    G = None
     head = estimates[0] if estimates else None
     if isinstance(head, RatioEstimate) and all(
         isinstance(e, RatioEstimate) and e.centers is head.centers and e.kernel == head.kernel for e in estimates
     ):
+        outs = [np.empty(X.shape[0]) for _ in estimates]
+        reads = [(head.kernel, out, est.v) for out, est in zip(outs, estimates)]
         try:
-            G = gaussian_kernel_matrix(X, head.centers, head.kernel, sq=sq if head.centers is centers else None)
+            read_rows(X, head.centers, product_blocks(X.shape[0], 0), reads, sq if head.centers is centers else None)
         except _CELL_ERRORS:
             return [None] * len(estimates)
+        for out, est in zip(outs, estimates):
+            if est.scale == "over_n":
+                out /= est.centers.shape[0]
+        return outs
     out = []
     for est in estimates:
         try:
-            out.append(est.evaluate(X) if G is None else est.values(G))
+            out.append(est.evaluate(X))
         except _CELL_ERRORS:
             out.append(None)
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, kernel_rows
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, product_blocks, read_rows
 from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 
 
@@ -42,13 +42,6 @@ class RatioEstimate:
     def evaluate(self, X, clip_negative=False):
         return evaluate(self, X, clip_negative=clip_negative)
 
-    def values(self, G):
-        """f at the points X whose Gram against the centers, k(X, centers), is G."""
-        out = G @ self.v
-        if self.scale == "over_n":
-            out /= self.centers.shape[0]
-        return out
-
 
 def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
     """K_pp = k(z_p, z_p) / n and K_H = k_h(z_p, z_p); one Gram serves both when k_h == k."""
@@ -58,8 +51,12 @@ def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
 
 
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
-    """Evaluate a ratio estimate at new points X (shape (m, d)): estimate.values(k(X, centers)), by row blocks."""
-    out = kernel_rows(as_sample_matrix(X, "X"), estimate.centers, estimate.kernel, estimate.values)
+    """Evaluate a ratio estimate at new points X (shape (m, d)): k(X, centers) @ v, / n for "over_n", by row blocks."""
+    X = as_sample_matrix(X, "X")
+    out = np.empty(X.shape[0])
+    read_rows(X, estimate.centers, product_blocks(X.shape[0], 0), [(estimate.kernel, out, estimate.v)])
+    if estimate.scale == "over_n":
+        out /= estimate.centers.shape[0]
     if clip_negative:
         out = np.maximum(out, 0.0)
     return out

@@ -520,8 +520,8 @@ class TestSharedGramTrial:
     def test_several_row_blocks_match_oracle(self, tmp_path, eval_n, m, solver, threads):
         lams = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
         # several blocks, the last one ragged; at n = 300 and eval_n = 2000 fire's products are large
-        assert len(cli._eval_blocks(eval_n, 70 * len(lams))) > 1 and eval_n % 64
-        assert eval_n < 2000 or len(cli._eval_blocks(eval_n, 300 * len(lams))) > 1
+        assert len(kernels.product_blocks(eval_n, 70 * len(lams))) > 1 and eval_n % 64
+        assert eval_n < 2000 or len(kernels.product_blocks(eval_n, 300 * len(lams))) > 1
         cfg = self.cfg(n_grid=[70, 300], m=m, repetitions=1, eval_n=eval_n, solver=self.SOLVERS[solver],
                        grids={"t": self.T_GRID, "lambda": lams})
         rows = self.assert_matches_oracle(tmp_path, cfg, threads=threads)
@@ -531,7 +531,7 @@ class TestSharedGramTrial:
         # at n = 300, L = 3 fixed 256-row blocks would move fire's errors: the
         # blocks' products would take OpenBLAS's small-matrix route, the whole's not
         cfg = self.cfg(n_grid=[300], m=300, repetitions=1, eval_n=2400, methods=["fire"])
-        blocks = cli._eval_blocks(2400, 300 * len(cfg["grids"]["lambda"]))
+        blocks = kernels.product_blocks(2400, 300 * len(cfg["grids"]["lambda"]))
         assert len(blocks) > 1 and all(b.stop - b.start > kernels.PRODUCT_ROWS + 64 for b in blocks)
         self.assert_matches_oracle(tmp_path, cfg, threads="1")
 
@@ -577,11 +577,20 @@ class TestSharedGramTrial:
     @pytest.mark.parametrize("normalized, per_t", [(True, 2), (False, 3)])
     def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, per_t):
         """One Gram per distinct kernel per (row block, t), each from the block's distances, none alive at once."""
-        gram = cli.gaussian_kernel_matrix
+        gram, read = kernels.gaussian_kernel_matrix, cli.read_rows
         for eval_n, blocks in ((90, 1), (601, 2)):
-            builds, alive = [], []
+            builds, alive, reading = [], [], []
+
+            def spy_read(*args):
+                reading.append(True)
+                try:
+                    return read(*args)
+                finally:
+                    reading.pop()
 
             def spy(A, B, spec, sq=None):
+                if not reading:  # a fit's Gram, or one the trial's row means build outside its evaluation reads
+                    return gram(A, B, spec, sq=sq)
                 assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
                 assert sq is not None, "an evaluation Gram computes its own distances"
                 G = gram(A, B, spec, sq=sq)
@@ -590,7 +599,8 @@ class TestSharedGramTrial:
                 alive.append(weakref.ref(G))
                 return G
 
-            monkeypatch.setattr(cli, "gaussian_kernel_matrix", spy)
+            monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy)
+            monkeypatch.setattr(cli, "read_rows", spy_read)
             cfg = self.cfg(solver={"setting": "type15", "normalized": normalized}, eval_n=eval_n)
             run(tmp_path, "simulate", cfg, out=f"out{eval_n}", extra=("--threads", "1"))
             trials = len(cfg["n_grid"]) * cfg["repetitions"]
@@ -621,7 +631,7 @@ class TestSharedGramTrial:
                 z_q = simulate(cfg.q_density, cfg.m, derive_seed(cfg.seed, tag + ":q"))
                 eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
                 expected += [(digest(z_p), digest(z_p)), (digest(z_p), digest(z_q)), (digest(z_q), digest(z_q))]
-                blocks = cli._eval_blocks(eval_n, n * len(cfg.grids.lam))
+                blocks = kernels.product_blocks(eval_n, n * len(cfg.grids.lam))
                 assert len(blocks) == (1 if eval_n < 2 * (kernels.PRODUCT_ROWS + 64) else 2)
                 expected += [(digest(eval_X[b]), digest(Z)) for Z in (z_p, z_q) for b in blocks]
         # exactly these calls: no distances of all eval_n rows where there are
@@ -633,15 +643,15 @@ class TestEvalBlocks:
     @pytest.mark.parametrize("rows", [1, 90, 255, 256, 320, 601, 2000, 4097])
     @pytest.mark.parametrize("cols", [0, 70 * 3, 300 * 3, 300 * 6, 1000 * 6, 2 * 10**6])
     def test_partition(self, rows, cols):
-        blocks = cli._eval_blocks(rows, cols)
+        blocks = kernels.product_blocks(rows, cols)
         edges = [b.start for b in blocks] + [rows]
         assert edges[0] == 0 and all(b.stop == e for b, e in zip(blocks, edges[1:]))
         assert all(e % 64 == 0 for e in edges[:-1])
         sizes = [b.stop - b.start for b in blocks]
         least = kernels.PRODUCT_ROWS
-        if rows * cols > cli._SMALL_GEMM:  # each block's product takes the whole product's dgemm route
-            assert all(size * cols > cli._SMALL_GEMM for size in sizes)
-            least = max(least, cli._SMALL_GEMM // cols + 1)
+        if rows * cols > kernels._SMALL_GEMM:  # each block's product takes the whole product's dgemm route
+            assert all(size * cols > kernels._SMALL_GEMM for size in sizes)
+            least = max(least, kernels._SMALL_GEMM // cols + 1)
         assert len(blocks) == max(1, rows // (least + 64))  # as many blocks as fit least + 64 rows each
         assert len(blocks) == 1 or min(sizes) >= least
 

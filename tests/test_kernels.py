@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import firedre.kernels as kernels
 from firedre.kernels import KernelSpec, as_sample_matrix, bandwidth_grid, gaussian_kernel_matrix, kde
+from firedre.linalg import blas_threads
 
 
 def rand_points(rng, n, d, scale=1.0):
@@ -336,6 +337,42 @@ class TestRowBlocks:
             assert min(sizes) > 0
             assert len(blocks) == max(1, rows // (least + 64))
             assert len(blocks) == 1 or min(sizes) >= least  # only a lone slice may be under the floor
+
+
+class TestReadRows:
+    """Each read of read_rows is bitwise the same read of the whole Gram, over several blocks, the last ragged."""
+
+    K1, K2, K3 = KernelSpec(t=0.4), KernelSpec(t=0.4, normalized=False), KernelSpec(t=1.3)
+
+    @pytest.mark.parametrize("with_sq", [False, True])
+    @pytest.mark.parametrize("lone", [False, True])
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("rows, m", [(601, 60), (700, 1500), (2000, 300)])
+    def test_every_read_equals_the_whole_grams(self, rows, m, d, lone, with_sq):
+        rng = np.random.default_rng(rows + m + d)
+        X, Z = rand_points(rng, rows, d, 1.5), rand_points(rng, m, d, 1.5)
+        v, V = rng.standard_normal(m), rng.standard_normal((m, 6))  # a dgemv read and an n x L dgemm read
+        if lone:  # one kernel: its Gram is built over the block's own distances
+            wanted = [(self.K1, v), (self.K1, V), (self.K1, None)]
+        else:
+            wanted = [(self.K1, v), (self.K2, None), (self.K1, V), (self.K3, None), (self.K3, v), (self.K2, V)]
+        blocks = kernels.product_blocks(rows, m * V.shape[1])
+        assert len(blocks) > 1 and rows % 64
+        outs = [np.empty((rows, *np.shape(coef)[1:])) for _, coef in wanted]
+        with blas_threads(1):
+            kernels.read_rows(X, Z, blocks, [(k, out, coef) for (k, coef), out in zip(wanted, outs)],
+                              kernels._sq_dists(X, Z) if with_sq else None)
+            for (k, coef), out in zip(wanted, outs):
+                G = gaussian_kernel_matrix(X, Z, k)
+                assert np.array_equal(out, G.mean(axis=1) if coef is None else G @ coef)
+
+    def test_no_reads_compute_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a Gram or distances were computed with no reads")
+
+        monkeypatch.setattr(kernels, "_sq_dists", fail)
+        monkeypatch.setattr(kernels, "gaussian_kernel_matrix", fail)
+        kernels.read_rows(np.zeros((300, 1)), np.zeros((5, 1)), kernels.product_blocks(300, 0), [])
 
 
 class TestKde:

@@ -107,6 +107,21 @@ class TestValidationFamilies:
                 )
                 assert abs(U[l, i] - ref) < 1e-12
 
+    @pytest.mark.parametrize("family", ["kernel_combo", "kernel_indicator"])
+    @pytest.mark.parametrize("n", [333, 1000, 2500, 5000])
+    def test_kernel_family_by_column_blocks_is_the_whole_product(self, family, n):
+        rng = np.random.default_rng(n)
+        # (d, anchors, count); at n = 2500 the third shape's fixed 256-column blocks would move bits
+        for d, a, count in ((1, 50, 50), (5, 200, 3), (1, 50, 20), (5, 7, 1)):
+            anchors = rng.standard_normal((a, d))
+            vs = make_validation_set(family, d=d, count=count, seed=n, anchors=anchors, kernel=KernelSpec(t=0.7))
+            X = rng.standard_normal((n, d)) * 1.5
+            with blas_threads(1):
+                whole = vs.coef @ gaussian_kernel_matrix(anchors, X, vs.kernel)
+                U = vs.evaluate(X)
+            assert np.array_equal(U, whole if family == "kernel_combo" else (whole > 0).astype(np.float64))
+        assert len(kernels.product_blocks(n, 50 * 50)) == (1 if n < 1000 else n // 465)
+
     def test_kernel_indicator_binary(self):
         anchors = np.random.default_rng(4).standard_normal((6, 1))
         vs = make_validation_set(
@@ -340,18 +355,27 @@ class TestSharedValidationGram:
 
     @pytest.mark.parametrize("setting", ["type15", "combined"])
     def test_one_validation_gram_per_cell(self, monkeypatch, setting):
-        builds, evaluations = [], []
-        gram, evaluate = selection.gaussian_kernel_matrix, solvers.evaluate
+        builds, evaluations, reading = [], [], []
+        gram, read, evaluate = kernels.gaussian_kernel_matrix, selection.read_rows, solvers.evaluate
+
+        def spy_read(*args):
+            reading.append(True)
+            try:
+                return read(*args)
+            finally:
+                reading.pop()
 
         def spy_gram(A, B, spec, **kwargs):
-            builds.append((A.shape[0], B.shape[0]))
+            if reading:  # only the held-out reads, not the fits' Grams or targets
+                builds.append((A.shape[0], B.shape[0]))
             return gram(A, B, spec, **kwargs)
 
         def spy_evaluate(*args, **kwargs):
             evaluations.append(1)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(selection, "gaussian_kernel_matrix", spy_gram)
+        monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy_gram)
+        monkeypatch.setattr(selection, "read_rows", spy_read)
         monkeypatch.setattr(solvers, "evaluate", spy_evaluate)
         self.cv(fit_factory(setting, gamma=0.3))
         # 30 points in 3 folds of 10: one 10 x 20 Gram per (fold, t), no per-estimate evaluate
@@ -538,7 +562,10 @@ def per_cell_fold_scores(z_p, z_q, fit, t_grid, lams, validation, folds, seed):
                 sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
                 G = gaussian_kernel_matrix(z_p[val_idx], z_train, estimates[0].kernel, sq=sq_val)
                 for j, est in enumerate(estimates):
-                    out[it, j, f] = j_score(est.values(G), U_val, U_q)
+                    f_val = G @ est.v
+                    if est.scale == "over_n":
+                        f_val /= z_train.shape[0]
+                    out[it, j, f] = j_score(f_val, U_val, U_q)
     return out
 
 
