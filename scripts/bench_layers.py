@@ -345,8 +345,10 @@ def run():
         rng = np.random.default_rng(5)
         for name, n, d in EVAL_SIZES:
             centers = cv_samples(rng, n, 0, d)[0]
+            # a build whose RatioEstimate still has a coefficient scale reads "plain" as k(X, centers) @ v
+            plain = {"scale": "plain"} if "scale" in solvers.RatioEstimate.__dataclass_fields__ else {}
             est = solvers.RatioEstimate(centers=centers, v=rng.standard_normal(n),
-                                        kernel=kernels.KernelSpec(t=1.0, normalized=False), scale="plain")
+                                        kernel=kernels.KernelSpec(t=1.0, normalized=False), **plain)
 
             def weights():
                 return solvers.evaluate(est, centers)

@@ -10,7 +10,6 @@ shift resampling and simulation (data), importance-weighted learners
 
 from .baselines import (
     GaussianDensity,
-    LsifRatio,
     MixtureDensity,
     TikdeRatio,
     TrueRatio,

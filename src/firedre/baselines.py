@@ -8,11 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde, kernel_row_means, product_blocks, read_rows,
-)
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kde, kernel_row_means
 from .linalg import RANK_TOL, NumericalError, pivoted_cholesky, solve_linear
-from .solvers import _check_lams
+from .solvers import RatioEstimate, _check_lams
 
 # === analytic densities ===
 
@@ -159,33 +157,17 @@ def tikde_epsilon_grid(z_p, t, sq_pp=None):
     return float(p_hat.max()) * np.power(10.0, -np.arange(1, 7, dtype=np.float64))
 
 
-@dataclass(eq=False)
-class LsifRatio:
-    """Kernel expansion over the q-sample fit by ridge-regularized least squares."""
-
-    centers: np.ndarray
-    alpha: np.ndarray
-    kernel: KernelSpec
-
-    def evaluate(self, X, clip_negative=False):
-        X = as_sample_matrix(X, "X")
-        out = np.empty(X.shape[0])
-        read_rows(X, self.centers, product_blocks(X.shape[0], 0), [(self.kernel, out, self.alpha)])
-        if clip_negative:
-            out = np.maximum(out, 0.0)
-        return out
-
-
 def lsif_unconstrained(z_p, z_q, t, lam, sq_qp=None, sq_qq=None):
     """Least-squares importance fitting without the nonnegativity constraint.
 
     Basis functions are k_t(x'_l, .) at every q-point.  Solves
     (H + lam I) alpha = h with H_ll' = (1/n) sum_i k_t(x'_l, x_i) k_t(x'_l', x_i)
-    and h_l = (1/m) sum_j k_t(x'_l, x'_j).
+    and h_l = (1/m) sum_j k_t(x'_l, x'_j), and returns the kernel expansion
+    over the q-sample, RatioEstimate(centers=z_q, v=alpha, kernel=k_t).
 
     ``lam`` may also be a non-empty 1-d sequence: H and h, which do not
     depend on lam, are then built once and the result is a list with one
-    LsifRatio per lam, None where that lam's solve fails (for a single lam it
+    estimate per lam, None where that lam's solve fails (for a single lam it
     raises NumericalError).
 
     When a pivoted Cholesky factor H ~ L'L of rank r <= m // 3 exists (the
@@ -223,7 +205,7 @@ def lsif_unconstrained(z_p, z_q, t, lam, sq_qp=None, sq_qq=None):
                     raise
                 fits.append(None)
                 continue
-        fits.append(LsifRatio(centers=z_q, alpha=alpha, kernel=k))
+        fits.append(RatioEstimate(centers=z_q, v=alpha, kernel=k))
     return fits[0] if single else fits
 
 

@@ -16,10 +16,11 @@ sets the workers that run CV cells and simulate trials; the final fit and
 evaluation run on the calling thread alone, so they take longer in wall
 time than on several BLAS threads.  A simulate trial computes the squared
 distances among its samples once for every fit; each method then lists the
-(kernel, output, coefficients) reads it takes off the evaluation Grams, and
-kernels.read_rows applies them by row blocks of the evaluation sample,
-computing each block's distances once and each distinct kernel's Gram once
-per block.
+(kernel, output, coefficients) reads it takes off the evaluation Grams (a
+fire or LSIF estimate is RatioEstimate(centers, v, kernel), read as
+k(X, centers) @ v), and kernels.read_rows applies them by row blocks of the
+evaluation sample, computing each block's distances once and each distinct
+kernel's Gram once per block.
 """
 
 import argparse
@@ -44,7 +45,7 @@ from .config import (
 )
 from .data import first_pc, label_resample, load_csv, pca_resample, simulate
 from .downstream import eval_metrics, weighted_linear_svm, weighted_ols
-from .kernels import KernelSpec, _sq_dists, bandwidth_grid, product_blocks, read_rows
+from .kernels import KernelSpec, _sq_dists, bandwidth_grid, read_rows
 from .kernels import gaussian_kernel_matrix  # noqa: F401  unused; benchmark/test_bench.py checks its tracing here
 from .linalg import NumericalError, blas_threads
 from .selection import SETTINGS, fit_factory, kfold_cv, make_validation_set, run_cells, worker_count
@@ -234,7 +235,6 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
         payload.update(
             {
                 "coefficients": est.v,
-                "scale": est.scale,
                 "kernel": {"t": est.kernel.t, "normalized": est.kernel.normalized},
                 "centers_path": "centers.csv",
                 "weights_path": "weights.csv",
@@ -254,9 +254,10 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     The squared distances D(z_p, z_p), D(z_p, z_q) and D(z_q, z_q) are
     computed once, and every fit at every t builds its Grams from them:
     fire's path, TIKDE's threshold grid and LSIF's lambda list.  Per t, each
-    method then lists what it reads off the evaluation Grams (read_rows, in
-    product_blocks): LSIF each solved lambda's alpha, fire its n x L stacked
-    coefficients, TIKDE its density (a row mean).  The reads against
+    method then lists what it reads off the evaluation Grams (read_rows):
+    LSIF each solved lambda's v, fire its lambdas' v stacked as an n x L
+    matrix (each estimate reads as k(X, centers) @ v), TIKDE its density
+    (a row mean).  The reads against
     z_q run first, and LSIF is scored and its predictions freed before
     fire's are allocated for the reads against z_p.  Every error is bitwise
     what whole evaluation Grams built from the points give.
@@ -267,7 +268,7 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     linear-system estimators).
     """
     use_fire, use_tikde, use_lsif = ("fire" in methods), ("tikde" in methods), ("lsif" in methods)
-    T, N, n, L = len(t_grid), eval_X.shape[0], z_p.shape[0], len(lam_grid)
+    T, N, L = len(t_grid), eval_X.shape[0], len(lam_grid)
     specs = [KernelSpec(t=float(t)) for t in t_grid]
     sq_pp = _sq_dists(z_p, z_p) if use_fire or use_tikde else None
     sq_pq = _sq_dists(z_p, z_q) if use_lsif or (use_fire and getattr(fit, "reads_sq_pq", True)) else None
@@ -279,7 +280,7 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
             ests = fit(z_p, z_q, float(t), lam_grid, sq_pp=sq_pp, sq_pq=sq_pq)
         except (NumericalError, np.linalg.LinAlgError):
             continue
-        fire[it] = (ests[0].kernel, np.stack([e.v if e.scale == "plain" else e.v / n for e in ests], axis=1))
+        fire[it] = (ests[0].kernel, np.stack([e.v for e in ests], axis=1))
     lsif = [lsif_unconstrained(z_p, z_q, t, lam_grid, sq_pq.T, sq_qq) for t in t_grid] if use_lsif else [()] * T
     eps_grids = [tikde_epsilon_grid(z_p, t, sq_pp=sq_pp) for t in t_grid] if use_tikde else [()] * T
     del sq_pp, sq_pq, sq_qq
@@ -290,12 +291,11 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
         if err < best[method][0]:
             best[method] = (float(err), float(t), float(param))
 
-    blocks = product_blocks(N, n * L if use_fire else 0)  # fire's (N x n) @ (n x L); LSIF's are dgemv
     q_hat = np.empty((T, N)) if use_tikde else None
     preds = np.empty((T, L, N)) if use_lsif else None  # LSIF's, each lambda's row contiguous
     reads = [(k, q_hat[it], None) for it, k in enumerate(specs) if use_tikde]
-    reads += [(e.kernel, preds[it, j], e.alpha) for it, fits in enumerate(lsif) for j, e in enumerate(fits) if e]
-    read_rows(eval_X, z_q, blocks, reads)
+    reads += [(e.kernel, preds[it, j], e.v) for it, fits in enumerate(lsif) for j, e in enumerate(fits) if e]
+    read_rows(eval_X, z_q, reads)
     for it, t in enumerate(t_grid):
         for j, (lam, est) in enumerate(zip(lam_grid, lsif[it])):
             if est is not None:
@@ -305,7 +305,7 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     preds = np.empty((T, N, L)) if use_fire else None  # fire's
     reads = [(f[0], preds[it], f[1]) for it, f in enumerate(fire) if f]
     reads += [(k, p_hat[it], None) for it, k in enumerate(specs) if use_tikde]
-    read_rows(eval_X, z_p, blocks, reads)
+    read_rows(eval_X, z_p, reads)
     for it, t in enumerate(t_grid):
         if fire[it]:
             errs = np.mean((np.maximum(preds[it], 0.0) - r_eval[:, None]) ** 2, axis=0)

@@ -129,31 +129,43 @@ PRODUCT_ROWS = 192
 _SMALL_GEMM = 100 ** 3
 
 
-def product_blocks(rows, others):
-    """The row_blocks of one side of a dgemm whose two other sides multiply to ``others``, 0 for a dgemv.
+def _product_rows(rows, others):
+    """The least rows of each block of one side of a dgemm whose two other sides multiply to ``others``, 0 for a dgemv.
 
     Where the whole product is larger than _SMALL_GEMM, so is each block's, and the blocks take its dgemm route.
     """
-    least = PRODUCT_ROWS
     if rows * others > _SMALL_GEMM:
-        least = max(least, _SMALL_GEMM // others + 1)
-    return row_blocks(rows, least)
+        return max(PRODUCT_ROWS, _SMALL_GEMM // others + 1)
+    return PRODUCT_ROWS
 
 
-def read_rows(X, Z, blocks, reads, sq=None):
-    """Apply each (kernel, out, coef) of reads to k(X, Z) by the row slices of blocks: out[rows] = G @ coef.
+def product_blocks(rows, others):
+    """The row_blocks of one side of a dgemm whose two other sides multiply to ``others`` (_product_rows)."""
+    return row_blocks(rows, _product_rows(rows, others))
 
-    coef None reads G.mean(axis=1).  Per block, each distinct kernel's Gram
-    is built once and dropped before the next: a lone kernel's over its own
-    distances, in place; several from one D(X[rows], Z); every one from
-    sq[rows] when ``sq`` (as in gaussian_kernel_matrix) is given.  Over the
-    slices of row_blocks, each out is bitwise that read of the whole Gram.
-    With no reads, nothing is computed.
+
+def read_rows(X, Z, reads, sq=None):
+    """Apply each (kernel, out, coef) of reads to k(X, Z) by row blocks of X: out[rows] = G @ coef.
+
+    coef None reads G.mean(axis=1).  The blocks are the row_blocks of the
+    largest floor any read needs: _BLOCK_ELEMS entries for a row mean,
+    _product_rows for a product with a vector or an n x L matrix, so each
+    out is bitwise that read of the whole Gram.  Per block, each distinct
+    kernel's Gram is built once and dropped before the next: a lone
+    kernel's over its own distances, in place; several from one
+    D(X[rows], Z); every one from sq[rows] when ``sq`` (as in
+    gaussian_kernel_matrix) is given.  With no reads, nothing is computed.
     """
+    if not reads:
+        return
     by_kernel = {}
     for kernel, out, coef in reads:
         by_kernel.setdefault(kernel, []).append((out, coef))
-    for rows in blocks if by_kernel else ():
+    least = max(
+        _BLOCK_ELEMS // Z.shape[0] if coef is None else _product_rows(X.shape[0], coef.size if coef.ndim > 1 else 0)
+        for _, _, coef in reads
+    )
+    for rows in row_blocks(X.shape[0], least):
         A = X[rows]
         D = sq[rows] if sq is not None else _sq_dists(A, Z) if len(by_kernel) > 1 else None
         for kernel, kernel_reads in by_kernel.items():
@@ -167,7 +179,7 @@ def read_rows(X, Z, blocks, reads, sq=None):
 def kernel_row_means(A, B, spec: KernelSpec, sq=None):
     """k(A, B).mean(axis=1), bit for bit, in blocks of _BLOCK_ELEMS entries or more (read_rows)."""
     out = np.empty(A.shape[0])
-    read_rows(A, B, row_blocks(A.shape[0], _BLOCK_ELEMS // B.shape[0]), [(spec, out, None)], sq)
+    read_rows(A, B, [(spec, out, None)], sq)
     return out
 
 

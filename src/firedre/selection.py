@@ -276,12 +276,9 @@ def _values_at(estimates, X, centers, sq):
         outs = [np.empty(X.shape[0]) for _ in estimates]
         reads = [(head.kernel, out, est.v) for out, est in zip(outs, estimates)]
         try:
-            read_rows(X, head.centers, product_blocks(X.shape[0], 0), reads, sq if head.centers is centers else None)
+            read_rows(X, head.centers, reads, sq if head.centers is centers else None)
         except _CELL_ERRORS:
             return [None] * len(estimates)
-        for out, est in zip(outs, estimates):
-            if est.scale == "over_n":
-                out /= est.centers.shape[0]
         return outs
     out = []
     for est in estimates:

@@ -7,8 +7,9 @@ the operators by their empirical versions and penalizing an RKHS norm with
 kernel k_H gives finite linear systems in a coefficient vector v; every
 estimate here is a kernel expansion over the p-sample,
 
-    f(x) = sum_i k_H(x_i, x) v_i            (scale "plain")
-    f(x) = (1/n) sum_i k(x_i, x) v_i        (scale "over_n")
+    f(x) = sum_i k_H(x_i, x) v_i,
+
+a RatioEstimate(centers=z_p, v, kernel=k_H) read as k(X, centers) @ v.
 
 Gram conventions: K_pp = (1/n) k(z_p, z_p), K_pq = (1/m) k(z_p, z_q),
 K_qp = (1/n) k(z_q, z_p), K_qq = (1/m) k(z_q, z_q), and K_H = k_H(z_p, z_p)
@@ -20,22 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, product_blocks, read_rows
+from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, read_rows
 from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
 
 
 @dataclass(eq=False)
 class RatioEstimate:
-    """Kernel expansion over the p-sample representing an estimated ratio."""
+    """Kernel expansion f(x) = sum_i kernel(centers_i, x) v_i representing an estimated ratio."""
 
     centers: np.ndarray
     v: np.ndarray
     kernel: KernelSpec
-    scale: str  # "plain" or "over_n"
 
     def __post_init__(self):
-        if self.scale not in ("plain", "over_n"):
-            raise ValueError(f"scale must be 'plain' or 'over_n', got {self.scale!r}")
         if self.v.shape != (self.centers.shape[0],):
             raise ValueError(f"coefficient shape {self.v.shape} does not match {self.centers.shape[0]} centers")
 
@@ -51,12 +49,10 @@ def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
 
 
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
-    """Evaluate a ratio estimate at new points X (shape (m, d)): k(X, centers) @ v, / n for "over_n", by row blocks."""
+    """Evaluate a ratio estimate at new points X (shape (m, d)): k(X, centers) @ v, by row blocks."""
     X = as_sample_matrix(X, "X")
     out = np.empty(X.shape[0])
-    read_rows(X, estimate.centers, product_blocks(X.shape[0], 0), [(estimate.kernel, out, estimate.v)])
-    if estimate.scale == "over_n":
-        out /= estimate.centers.shape[0]
+    read_rows(X, estimate.centers, [(estimate.kernel, out, estimate.v)])
     if clip_negative:
         out = np.maximum(out, 0.0)
     return out
@@ -98,7 +94,7 @@ def solve_type15(z_p, z_q, k: KernelSpec, k_prime: KernelSpec, k_h: KernelSpec, 
     z_q = as_sample_matrix(z_q, "z_q")
     target = kernel_row_means(z_p, z_q, k_prime, sq=sq_pq)
     v = _solve_cubic(z_p, target, k, k_h, lam, "type15 system", sq_pp)
-    return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
+    return RatioEstimate(centers=z_p, v=v, kernel=k_h)
 
 
 def solve_type1(z_p, z_q, k: KernelSpec, k_h: KernelSpec, lam, sq_pp=None, sq_pq=None):
@@ -112,9 +108,9 @@ def solve_type1_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     With a single kernel, K_H = n K_pp, so one factorization of K_pp serves
     every lam (see _same_kernel_path):
 
-        coef(lam) = K_pp (K_pp^3 + lam I)^{-1} K_pq 1,   scale "over_n",
+        v(lam) = K_pp (K_pp^3 + lam I)^{-1} K_pq 1 / n,
 
-    or Q diag(w / (w^3 + lam)) Q' K_pq 1 with K_pp = Q diag(w) Q'.
+    or Q diag(w / (w^3 + lam)) Q' K_pq 1 / n with K_pp = Q diag(w) Q'.
 
     Returns one RatioEstimate per entry of lams; function values agree with
     the per-lam direct solves, and over one lam it is the direct solve.
@@ -145,7 +141,7 @@ def solve_type2_path(z_p, q_values, k: KernelSpec, lams, sq_pp=None):
     if lams.size == 1:
         return [solve_type2(z_p, q_values, k, k, lams[0], sq_pp=sq_pp)]
     z_p = as_sample_matrix(z_p, "z_p")
-    q = _check_q_values(q_values, z_p.shape[0])
+    q = _check_q_values(q_values, z_p.shape[0], "q_values")
     K_pp = gaussian_kernel_matrix(z_p, z_p, k, sq=sq_pp) / z_p.shape[0]
     return _same_kernel_path(z_p, K_pp, q, k, lams)
 
@@ -230,7 +226,7 @@ def _square_minus_into_upper(B):
 
 
 def _same_kernel_path(z_p, K_pp, target, k, lams):
-    """coef(lam) = K_pp (K_pp^3 + lam I)^{-1} target for each lam, as estimates.
+    """v(lam) = K_pp (K_pp^3 + lam I)^{-1} target / n for each lam, as estimates.
 
     From the rank-r spectrum where _spectrum finds one; else from one
     tridiagonal reduction of K_pp and a banded solve per lam
@@ -247,7 +243,7 @@ def _same_kernel_path(z_p, K_pp, target, k, lams):
         if bad.size:
             raise NumericalError(f"non-positive shifted eigenvalue in path at lam={lams[bad[0]]}")
         coefs = [Q @ (w / denom * c) for denom in denoms]
-    return [RatioEstimate(centers=z_p, v=v, kernel=k, scale="over_n") for v in coefs]
+    return [RatioEstimate(centers=z_p, v=coef / z_p.shape[0], kernel=k) for coef in coefs]
 
 
 def solve_combined(z_p, z_q, k: KernelSpec, k_h: KernelSpec, gamma, lam):
@@ -291,7 +287,7 @@ def _combined(z_p, z_q, k, k_h, gamma, lams, sq_pp=None, sq_pq=None):
     P = np.matmul(M, K_H, out=K_pp)
     del K_pp, K_H, M  # the solves then hold only P and LAPACK's copy of it
     coefs = _ridge_solves(P, rhs, lams, "combined system")
-    return [RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain") for v in coefs]
+    return [RatioEstimate(centers=z_p, v=v, kernel=k_h) for v in coefs]
 
 
 def solve_rkhs_loss(z_p, z_q, k: KernelSpec, lam):
@@ -316,7 +312,7 @@ def solve_rkhs_loss_path(z_p, z_q, k: KernelSpec, lams, sq_pp=None, sq_pq=None):
     P = K_pp @ K_H
     del K_pp, K_H
     coefs = _ridge_solves(P, target, z_p.shape[0] * lams, "rkhs_loss system")
-    return [RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain") for v in coefs]
+    return [RatioEstimate(centers=z_p, v=v, kernel=k) for v in coefs]
 
 
 def _ridge_solves(P, rhs, ridges, context):
@@ -348,17 +344,17 @@ def solve_type2(z_p, q_values, k: KernelSpec, k_h: KernelSpec, lam, sq_pp=None):
     """
     _check_lam(lam)
     z_p = as_sample_matrix(z_p, "z_p")
-    q = _check_q_values(q_values, z_p.shape[0])
+    q = _check_q_values(q_values, z_p.shape[0], "q_values")
     v = _solve_cubic(z_p, q, k, k_h, lam, "type2 system", sq_pp)
-    return RatioEstimate(centers=z_p, v=v, kernel=k_h, scale="plain")
+    return RatioEstimate(centers=z_p, v=v, kernel=k_h)
 
 
-def _check_q_values(q_values, n):
+def _check_q_values(q_values, n, name):
     q = np.asarray(q_values, dtype=np.float64)
     if q.shape != (n,):
-        raise ValueError(f"q_values must have shape ({n},), got {q.shape}")
+        raise ValueError(f"{name} must have shape ({n},), got {q.shape}")
     if not np.all(np.isfinite(q)):
-        raise ValueError("q_values contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return q
 
 
@@ -371,15 +367,15 @@ def solve_spectral(z_p, target, k: KernelSpec, cutoff):
     Keeps the top ``cutoff`` eigenpairs of K_pp = Q diag(w) Q' and inverts
     K_pp^2 on their span:
 
-        coef = Q_k diag(w_k^-2) Q_k' target,    scale "over_n",
+        v = Q_k diag(w_k^-2) Q_k' target / n,
 
-    so K_pp^2 coef is the orthogonal projection of target onto span(Q_k).
+    so K_pp^2 (n v) is the orthogonal projection of target onto span(Q_k).
     Raises NumericalError if a retained eigenvalue falls below
     1e-12 * w_max (the inversion would be meaningless there).
     """
     z_p = as_sample_matrix(z_p, "z_p")
     n = z_p.shape[0]
-    target = _check_q_values(target, n)
+    target = _check_q_values(target, n, "target")
     if not 1 <= cutoff <= n:
         raise ValueError(f"cutoff must lie in [1, {n}], got {cutoff}")
     K_pp = gaussian_kernel_matrix(z_p, z_p, k) / n
@@ -394,4 +390,4 @@ def solve_spectral(z_p, target, k: KernelSpec, cutoff):
         )
     lead = Q[:, :cutoff]
     coef = lead @ ((lead.T @ target) / w[:cutoff] ** 2)
-    return RatioEstimate(centers=z_p, v=coef, kernel=k, scale="over_n")
+    return RatioEstimate(centers=z_p, v=coef / n, kernel=k)

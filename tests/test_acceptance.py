@@ -296,7 +296,7 @@ def test_c07_spectral_cutoff_residual_is_projection_tail(capsys):
         coords_sq = (Q[:, ::-1].T @ target) ** 2
         tails = np.sqrt(np.maximum(coords_sq.sum() - np.cumsum(coords_sq), 0.0))
         resids = np.array([
-            np.linalg.norm(K_pp @ (K_pp @ solve_spectral(z_p, target, k, cut).v) - target)
+            np.linalg.norm(K_pp @ solve_spectral(z_p, target, k, cut).evaluate(z_p) - target)
             for cut in range(1, n + 1)
         ])
         worst_gap = max(worst_gap, float(np.max(np.abs(resids - tails))))
@@ -396,7 +396,6 @@ def test_c09_two_kernel_solver_reduces_to_single_kernel(capsys):
         one = solve_type1(z_p, z_q, k, k_h, lam)
         identical += (
             np.array_equal(two.v, one.v)
-            and two.scale == one.scale
             and np.array_equal(two.evaluate(z_p), one.evaluate(z_p))
         )
     ok = identical == 20

@@ -172,7 +172,7 @@ class TestLsif:
         h = gaussian_kernel_matrix(z_q, z_q, spec).mean(axis=1)
         alpha = np.linalg.solve(H + lam * np.eye(2), h)
         r = lsif_unconstrained(z_p, z_q, t=t, lam=lam)
-        assert np.allclose(r.alpha, alpha, rtol=1e-10)
+        assert np.allclose(r.v, alpha, rtol=1e-10)
         X = np.array([[0.3], [1.8]])
         ref = gaussian_kernel_matrix(X, z_q, spec) @ alpha
         assert np.allclose(r.evaluate(X), ref, rtol=1e-10)
@@ -195,7 +195,7 @@ class TestLsif:
         assert len(path) == 3
         for lam, est in zip(lams, path):
             single = lsif_unconstrained(z_p, z_q, t=0.3, lam=float(lam))
-            assert np.array_equal(est.alpha, single.alpha)
+            assert np.array_equal(est.v, single.v)
             assert est.kernel == single.kernel
 
     def test_lambda_sequence_marks_failed_solve_none(self, monkeypatch):
@@ -257,7 +257,7 @@ class TestLsifLowRank:
             G = gaussian_kernel_matrix(X, z_q, KernelSpec(t=float(t)))
             for lam, est, alpha in zip(SIM_LAMS, fits, dense_lsif_alphas(z_p, z_q, t, SIM_LAMS)):
                 ref = G @ alpha
-                err = np.linalg.norm(G @ est.alpha - ref) / np.linalg.norm(ref)
+                err = np.linalg.norm(G @ est.v - ref) / np.linalg.norm(ref)
                 assert err < 1e-7, (t, lam, err)
 
     def test_one_d_grid_makes_no_m_by_m_solve(self, sim_1d, monkeypatch):
@@ -290,7 +290,7 @@ class TestLsifLowRank:
         fits = lsif_unconstrained(z_p, z_q, 1.0, SIM_LAMS)
         assert factors == [None]
         for est, alpha in zip(fits, dense_lsif_alphas(z_p, z_q, 1.0, SIM_LAMS)):
-            assert np.array_equal(est.alpha, alpha)
+            assert np.array_equal(est.v, alpha)
 
     def test_refinement_failure_sends_only_that_lam_to_dense_solve(self, sim_1d, monkeypatch):
         z_p, z_q, _ = sim_1d
@@ -314,7 +314,7 @@ class TestLsifLowRank:
         fits = lsif_unconstrained(z_p, z_q, t, SIM_LAMS)
         assert len(dense) == 1
         for lam, est, alpha in zip(SIM_LAMS, fits, dense_lsif_alphas(z_p, z_q, t, SIM_LAMS)):
-            assert np.array_equal(est.alpha, alpha) == (lam == failing)
+            assert np.array_equal(est.v, alpha) == (lam == failing)
 
     def test_core_solve_failure_falls_back_to_dense(self, sim_1d, monkeypatch):
         z_p, z_q, _ = sim_1d
@@ -328,7 +328,7 @@ class TestLsifLowRank:
         monkeypatch.setattr(baselines, "solve_linear", small_fails)
         fits = lsif_unconstrained(z_p, z_q, 0.5, SIM_LAMS)
         for est, alpha in zip(fits, dense_lsif_alphas(z_p, z_q, 0.5, SIM_LAMS)):
-            assert np.array_equal(est.alpha, alpha)
+            assert np.array_equal(est.v, alpha)
 
     def test_empty_lam_grid_rejected_before_any_gram(self, monkeypatch):
         z = np.zeros((3, 1))
@@ -357,7 +357,7 @@ class TestSharedDistances:
                 shared = lsif_unconstrained(z_p, q, t, SIM_LAMS, sq_qp=sq_qp, sq_qq=sq_qq)
                 for a, b in zip(plain, shared):
                     assert (a is None) == (b is None)
-                    assert a is None or (np.array_equal(a.alpha, b.alpha) and a.kernel == b.kernel)
+                    assert a is None or (np.array_equal(a.v, b.v) and a.kernel == b.kernel)
 
     def test_tikde_grid_from_distances_is_bitwise(self, sim_1d):
         z_p = sim_1d[0]

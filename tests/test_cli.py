@@ -95,7 +95,7 @@ class TestEstimateCommand:
         assert payload["selected_t"] in ESTIMATE["grids"]["t"]
         assert payload["selected_lambda"] in ESTIMATE["grids"]["lambda"]
         assert len(payload["coefficients"]) == 120
-        assert payload["scale"] == "plain"
+        assert "scale" not in payload  # every estimate reads as k(X, centers) @ coefficients
         assert payload["kernel"]["t"] == payload["selected_t"]
         # p = q, so the fitted ratio should hover near 1 on the p-sample
         assert 0.5 < payload["weights_mean"] < 1.5
@@ -399,7 +399,7 @@ def oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
         except (NumericalError, np.linalg.LinAlgError):
             continue
         K_eval = gaussian_kernel_matrix(eval_X, z_p, ests[0].kernel)
-        V = np.stack([e.v if e.scale == "plain" else e.v / z_p.shape[0] for e in ests], axis=1)
+        V = np.stack([e.v for e in ests], axis=1)
         preds = np.maximum(K_eval @ V, 0.0)
         errs = np.mean((preds - r_eval[:, None]) ** 2, axis=0)
         j = int(np.argmin(errs))
@@ -428,7 +428,7 @@ def oracle_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid):
         for lam, est in zip(lam_grid, lsif_unconstrained(z_p, z_q, t, lam_grid)):
             if est is None:
                 continue
-            err = float(np.mean((np.maximum(G_eval @ est.alpha, 0.0) - r_eval) ** 2))
+            err = float(np.mean((np.maximum(G_eval @ est.v, 0.0) - r_eval) ** 2))
             if err < best[0]:
                 best = (err, float(t), float(lam))
     return best
@@ -464,6 +464,17 @@ def oracle_bench_csv(cfg_dict, path):
     rows = [row for pack in run_cells(one, tasks, 1) for row in pack]
     write_csv(str(path), ["method", "n", "rep", "error", "t", "param"], rows)
     return path.read_bytes()
+
+
+def trial_blocks(eval_n, n, m, L):
+    """The row blocks of a trial's reads that run all three methods: those against z_q, those against z_p.
+
+    Against z_q: TIKDE's row means and LSIF's vectors; against z_p: TIKDE's
+    row means and fire's n x L coefficients (kernels.read_rows).
+    """
+    q_rows = max(kernels._BLOCK_ELEMS // m, kernels.PRODUCT_ROWS)
+    p_rows = max(kernels._BLOCK_ELEMS // n, kernels._product_rows(eval_n, n * L))
+    return kernels.row_blocks(eval_n, q_rows), kernels.row_blocks(eval_n, p_rows)
 
 
 class TestSharedGramTrial:
@@ -519,9 +530,11 @@ class TestSharedGramTrial:
     @pytest.mark.parametrize("eval_n, m", [(601, 60), (2000, 300)])
     def test_several_row_blocks_match_oracle(self, tmp_path, eval_n, m, solver, threads):
         lams = [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-        # several blocks, the last one ragged; at n = 300 and eval_n = 2000 fire's products are large
-        assert len(kernels.product_blocks(eval_n, 70 * len(lams))) > 1 and eval_n % 64
-        assert eval_n < 2000 or len(kernels.product_blocks(eval_n, 300 * len(lams))) > 1
+        # at eval_n = 2000 every read takes several blocks, the last one ragged, and at n = 300 fire's products
+        # are large; at eval_n = 601 TIKDE's row means (1092 rows or more against m = 60) keep each read whole
+        sides = [b for n in (70, 300) for b in trial_blocks(eval_n, n, m, len(lams))]
+        assert all((len(b) > 1) == (eval_n == 2000) for b in sides) and eval_n % 64
+        assert eval_n < 2000 or kernels._product_rows(eval_n, 300 * len(lams)) > kernels.PRODUCT_ROWS
         cfg = self.cfg(n_grid=[70, 300], m=m, repetitions=1, eval_n=eval_n, solver=self.SOLVERS[solver],
                        grids={"t": self.T_GRID, "lambda": lams})
         rows = self.assert_matches_oracle(tmp_path, cfg, threads=threads)
@@ -547,7 +560,7 @@ class TestSharedGramTrial:
         for t in self.T_GRID:
             for plain, shared in zip(fit(z_p, z_q, t, lams), fit(z_p, z_q, t, lams, sq_pp=sq_pp, sq_pq=sq_pq)):
                 assert np.array_equal(plain.v, shared.v)
-                assert (plain.kernel, plain.scale) == (shared.kernel, shared.scale)
+                assert plain.kernel == shared.kernel
 
     def test_failed_fire_fit_skips_only_fire_at_that_t(self, tmp_path, monkeypatch):
         cfg = self.cfg()
@@ -574,11 +587,18 @@ class TestSharedGramTrial:
         assert any(float(r[4]) == failing for r in rows if r[0] == "tikde")
         assert all(np.isfinite(float(r[3])) for r in rows)
 
-    @pytest.mark.parametrize("normalized, per_t", [(True, 2), (False, 3)])
-    def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, per_t):
-        """One Gram per distinct kernel per (row block, t), each from the block's distances, none alive at once."""
+    @pytest.mark.parametrize("normalized, p_kernels", [(True, 1), (False, 2)])
+    def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, p_kernels):
+        """One Gram per distinct kernel per (row block, t), each from the block's distances, none alive at once.
+
+        Against z_q, TIKDE and LSIF share k_t; against z_p, fire's kernel is TIKDE's unless it is unnormalized.
+        """
         gram, read = kernels.gaussian_kernel_matrix, cli.read_rows
-        for eval_n, blocks in ((90, 1), (601, 2)):
+        for eval_n in (90, 601, 2400):
+            cfg = self.cfg(solver={"setting": "type15", "normalized": normalized}, eval_n=eval_n)
+            sides = [trial_blocks(eval_n, n, cfg["m"], len(cfg["grids"]["lambda"])) for n in cfg["n_grid"]]
+            sizes = {b.stop - b.start for q, p in sides for b in q + p}
+            assert eval_n < 2400 or all(len(q) > 1 for q, _ in sides) and len(sides[1][1]) > 1
             builds, alive, reading = [], [], []
 
             def spy_read(*args):
@@ -594,20 +614,19 @@ class TestSharedGramTrial:
                 assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
                 assert sq is not None, "an evaluation Gram computes its own distances"
                 G = gram(A, B, spec, sq=sq)
-                assert G.shape[0] <= eval_n // blocks + 64
+                assert G.shape[0] in sizes
                 builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest(), spec))
                 alive.append(weakref.ref(G))
                 return G
 
             monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy)
             monkeypatch.setattr(cli, "read_rows", spy_read)
-            cfg = self.cfg(solver={"setting": "type15", "normalized": normalized}, eval_n=eval_n)
             run(tmp_path, "simulate", cfg, out=f"out{eval_n}", extra=("--threads", "1"))
-            trials = len(cfg["n_grid"]) * cfg["repetitions"]
-            assert len(builds) == trials * blocks * len(self.T_GRID) * per_t
+            per_rep = sum(len(q) + len(p) * p_kernels for q, p in sides) * len(self.T_GRID)
+            assert len(builds) == cfg["repetitions"] * per_rep
             assert len(set(builds)) == len(builds)
 
-    @pytest.mark.parametrize("eval_n", [90, 601])
+    @pytest.mark.parametrize("eval_n", [90, 601, 2400])
     def test_distances_once_per_trial_and_block(self, tmp_path, monkeypatch, eval_n):
         def digest(A):
             return hashlib.sha256(np.ascontiguousarray(A).tobytes()).digest()
@@ -631,9 +650,10 @@ class TestSharedGramTrial:
                 z_q = simulate(cfg.q_density, cfg.m, derive_seed(cfg.seed, tag + ":q"))
                 eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
                 expected += [(digest(z_p), digest(z_p)), (digest(z_p), digest(z_q)), (digest(z_q), digest(z_q))]
-                blocks = kernels.product_blocks(eval_n, n * len(cfg.grids.lam))
-                assert len(blocks) == (1 if eval_n < 2 * (kernels.PRODUCT_ROWS + 64) else 2)
-                expected += [(digest(eval_X[b]), digest(Z)) for Z in (z_p, z_q) for b in blocks]
+                q_blocks, p_blocks = trial_blocks(eval_n, n, cfg.m, len(cfg.grids.lam))
+                assert eval_n < 2400 or len(q_blocks) > 1
+                expected += [(digest(eval_X[b]), digest(Z)) for Z, blocks in ((z_p, p_blocks), (z_q, q_blocks))
+                             for b in blocks]
         # exactly these calls: no distances of all eval_n rows where there are
         # several blocks, so the largest evaluation-side array is block x max(n, m)
         assert sorted(calls) == sorted(expected)

@@ -344,11 +344,23 @@ class TestReadRows:
 
     K1, K2, K3 = KernelSpec(t=0.4), KernelSpec(t=0.4, normalized=False), KernelSpec(t=1.3)
 
+    @pytest.fixture
+    def used_blocks(self, monkeypatch):
+        """The row blocks of each read_rows call, in call order."""
+        calls, row_blocks = [], kernels.row_blocks
+
+        def spy(rows, least):
+            calls.append(row_blocks(rows, least))
+            return calls[-1]
+
+        monkeypatch.setattr(kernels, "row_blocks", spy)
+        return calls
+
     @pytest.mark.parametrize("with_sq", [False, True])
     @pytest.mark.parametrize("lone", [False, True])
     @pytest.mark.parametrize("d", [1, 5])
     @pytest.mark.parametrize("rows, m", [(601, 60), (700, 1500), (2000, 300)])
-    def test_every_read_equals_the_whole_grams(self, rows, m, d, lone, with_sq):
+    def test_every_read_equals_the_whole_grams(self, rows, m, d, lone, with_sq, used_blocks):
         rng = np.random.default_rng(rows + m + d)
         X, Z = rand_points(rng, rows, d, 1.5), rand_points(rng, m, d, 1.5)
         v, V = rng.standard_normal(m), rng.standard_normal((m, 6))  # a dgemv read and an n x L dgemm read
@@ -356,15 +368,32 @@ class TestReadRows:
             wanted = [(self.K1, v), (self.K1, V), (self.K1, None)]
         else:
             wanted = [(self.K1, v), (self.K2, None), (self.K1, V), (self.K3, None), (self.K3, v), (self.K2, V)]
-        blocks = kernels.product_blocks(rows, m * V.shape[1])
-        assert len(blocks) > 1 and rows % 64
-        outs = [np.empty((rows, *np.shape(coef)[1:])) for _, coef in wanted]
         with blas_threads(1):
-            kernels.read_rows(X, Z, blocks, [(k, out, coef) for (k, coef), out in zip(wanted, outs)],
-                              kernels._sq_dists(X, Z) if with_sq else None)
-            for (k, coef), out in zip(wanted, outs):
-                G = gaussian_kernel_matrix(X, Z, k)
-                assert np.array_equal(out, G.mean(axis=1) if coef is None else G @ coef)
+            for reads in (wanted, [(k, coef) for k, coef in wanted if coef is not None]):  # all; the products alone
+                outs = [np.empty((rows, *np.shape(coef)[1:])) for _, coef in reads]
+                kernels.read_rows(X, Z, [(k, out, coef) for (k, coef), out in zip(reads, outs)],
+                                  kernels._sq_dists(X, Z) if with_sq else None)
+                for (k, coef), out in zip(reads, outs):
+                    G = gaussian_kernel_matrix(X, Z, k)
+                    assert np.array_equal(out, G.mean(axis=1) if coef is None else G @ coef)
+        assert len(used_blocks[1]) > 1 and rows % 64  # the products alone take several blocks, the last ragged
+
+    @pytest.mark.parametrize("rows, m", [(601, 60), (700, 1500), (2000, 300), (5000, 40)])
+    def test_blocks_take_the_largest_floor_of_the_reads(self, rows, m, used_blocks):
+        rng = np.random.default_rng(rows * m)
+        X, Z = rand_points(rng, rows, 2), rand_points(rng, m, 2)
+        k, out = KernelSpec(t=1.0), np.empty((rows, 6))
+        mean, vector, matrix = (k, out[:, 0], None), (k, out[:, 1], np.ones(m)), (k, out, np.ones((m, 6)))
+        mean_rows, matrix_rows = kernels._BLOCK_ELEMS // m, kernels._product_rows(rows, 6 * m)
+        for reads, expected in [
+            ([mean], kernels.row_blocks(rows, mean_rows)),
+            ([vector], kernels.row_blocks(rows, kernels.PRODUCT_ROWS)),
+            ([matrix], kernels.product_blocks(rows, 6 * m)),
+            ([mean, vector], kernels.row_blocks(rows, max(mean_rows, kernels.PRODUCT_ROWS))),
+            ([vector, matrix, mean], kernels.row_blocks(rows, max(mean_rows, matrix_rows))),
+        ]:
+            kernels.read_rows(X, Z, reads)
+            assert used_blocks[-1] == expected
 
     def test_no_reads_compute_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -372,7 +401,7 @@ class TestReadRows:
 
         monkeypatch.setattr(kernels, "_sq_dists", fail)
         monkeypatch.setattr(kernels, "gaussian_kernel_matrix", fail)
-        kernels.read_rows(np.zeros((300, 1)), np.zeros((5, 1)), kernels.product_blocks(300, 0), [])
+        kernels.read_rows(np.zeros((300, 1)), np.zeros((5, 1)), [])
 
 
 class TestKde:

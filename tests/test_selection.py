@@ -562,10 +562,7 @@ def per_cell_fold_scores(z_p, z_q, fit, t_grid, lams, validation, folds, seed):
                 sq_val = D_pp.take(val_idx, 0).take(train_idx, 1)
                 G = gaussian_kernel_matrix(z_p[val_idx], z_train, estimates[0].kernel, sq=sq_val)
                 for j, est in enumerate(estimates):
-                    f_val = G @ est.v
-                    if est.scale == "over_n":
-                        f_val /= z_train.shape[0]
-                    out[it, j, f] = j_score(f_val, U_val, U_q)
+                    out[it, j, f] = j_score(G @ est.v, U_val, U_q)
     return out
 
 
@@ -720,7 +717,7 @@ class TestSettingsTable:
         got = fit(z_p, z_q, self.T, self.LAMS)
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
-            assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+            assert np.array_equal(a.v, b.v) and a.kernel == b.kernel
         # a path over one lambda is the direct solve, also when it builds its
         # Grams from given distances, and so is the CLI's final fit
         sq_pp, sq_pq = kernels._sq_dists(z_p, z_p), kernels._sq_dists(z_p, z_q)
@@ -730,7 +727,7 @@ class TestSettingsTable:
             one_lam = [path([lam]), fit(z_p, z_q, self.T, [lam]), fit(z_p, z_q, self.T, [lam], sq_pp, sq_pq),
                        final(z_p, z_q, self.T, [lam])]
             for (a,) in one_lam:
-                assert np.array_equal(a.v, b.v) and a.scale == b.scale and a.kernel == b.kernel
+                assert np.array_equal(a.v, b.v) and a.kernel == b.kernel
 
     @pytest.mark.parametrize("setting", sorted(SETTINGS))
     def test_rebound_solvers_are_reached(self, monkeypatch, setting):

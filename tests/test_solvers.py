@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firedre import linalg, solvers
-from firedre.baselines import GaussianDensity, LsifRatio, MixtureDensity
+from firedre.baselines import GaussianDensity, MixtureDensity, lsif_unconstrained
 from firedre.data import simulate
 from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, kde
 from firedre.linalg import NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
@@ -354,9 +354,7 @@ class TestRegularizationPaths:
         path = solve_type1_path(z_p, z_q, k, lams)
         for lam, est in zip(lams, path):
             direct = solve_type1(z_p, z_q, k, k, lam)
-            assert est.scale == "over_n" and direct.scale == "plain"
-            # coefficient conventions differ by the factor n
-            assert np.allclose(est.v, 40 * direct.v, rtol=1e-8)
+            assert np.allclose(est.v, direct.v, rtol=1e-8, atol=1e-8 / 40)
             assert np.allclose(est.evaluate(probes), direct.evaluate(probes), rtol=0, atol=1e-10)
 
     def test_two_kernel_path_matches_direct(self):
@@ -367,8 +365,7 @@ class TestRegularizationPaths:
         path = solve_type15_path(z_p, z_q, k, k_prime, lams)
         for lam, est in zip(lams, path):
             direct = solve_type15(z_p, z_q, k, k_prime, k, lam)
-            assert est.scale == "over_n"
-            assert np.allclose(est.v, 24 * direct.v, rtol=1e-8)
+            assert np.allclose(est.v, direct.v, rtol=1e-8, atol=1e-8 / 24)
             assert np.allclose(est.evaluate(probes), direct.evaluate(probes), rtol=0, atol=1e-10)
 
     def test_two_kernel_path_with_equal_kernels_is_bitwise_type1_path(self):
@@ -410,7 +407,7 @@ class TestRegularizationPaths:
             direct = [solve_rkhs_loss(z_p, z_q, k, lam) for lam in lams]
         assert len(path) == len(lams)
         for a, b in zip(path, direct):
-            assert np.array_equal(a.v, b.v) and a.scale == b.scale == "plain" and a.kernel == b.kernel == k
+            assert np.array_equal(a.v, b.v) and a.kernel == b.kernel == k
 
     def test_heavy_ridge_damps_to_zero(self):
         z_p, z_q = instance(8)
@@ -638,7 +635,7 @@ class TestSpectralCutoff:
         valid = int(np.sum(w >= 1e-12 * w[0]))
         est = solve_spectral(z_p, target, k, valid)
         proj = Q[:, :valid] @ (Q[:, :valid].T @ target)
-        assert np.allclose(K_pp @ (K_pp @ est.v), proj, atol=1e-9)
+        assert np.allclose(K_pp @ est.evaluate(z_p), proj, atol=1e-9)
 
     def test_residual_monotone_and_matches_eigenbasis(self):
         z_p, _ = instance(17, n=25, m=5, d=2)
@@ -653,11 +650,11 @@ class TestSpectralCutoff:
             est = solve_spectral(z_p, target, k, cut)
             # coefficient-level identity holds at every valid cutoff
             ref = Q[:, :cut] @ ((Q[:, :cut].T @ target) / w[:cut] ** 2)
-            assert np.allclose(est.v, ref, rtol=1e-10, atol=0)
+            assert np.allclose(est.v, ref / 25, rtol=1e-10, atol=0)
             # residual identity is float64-checkable only while the squared
             # condition number w1^2/w_cut^2 keeps roundoff under the tolerance
             if w[cut - 1] >= 1e-3 * w[0]:
-                resid = np.linalg.norm(K_pp @ (K_pp @ est.v) - target)
+                resid = np.linalg.norm(K_pp @ est.evaluate(z_p) - target)
                 expected = np.linalg.norm(target - Q[:, :cut] @ (Q[:, :cut].T @ target))
                 assert abs(resid - expected) < 1e-8
                 assert resid <= prev + 1e-12
@@ -730,7 +727,7 @@ class TestEvaluateAndValidation:
         assert np.max(np.abs(est.evaluate(z_p) - K_H @ est.v)) < 1e-10
 
     def test_clip_negative(self):
-        est = RatioEstimate(centers=np.zeros((1, 1)), v=np.array([-2.0]), kernel=KernelSpec(t=1.0), scale="plain")
+        est = RatioEstimate(centers=np.zeros((1, 1)), v=np.array([-2.0]), kernel=KernelSpec(t=1.0))
         raw = est.evaluate(np.zeros((1, 1)))
         clipped = est.evaluate(np.zeros((1, 1)), clip_negative=True)
         assert raw[0] < 0 and clipped[0] == 0.0
@@ -741,7 +738,7 @@ class TestEvaluateAndValidation:
         rng = np.random.default_rng(15)
         v1, v2 = rng.standard_normal(10), rng.standard_normal(10)
         X = rng.standard_normal((6, 2))
-        e = lambda v: RatioEstimate(centers=z_p, v=v, kernel=k, scale="plain").evaluate(X)
+        e = lambda v: RatioEstimate(centers=z_p, v=v, kernel=k).evaluate(X)
         assert np.allclose(e(v1) + e(v2), e(v1 + v2), rtol=1e-12)
 
     def test_gram_bundle_normalization_consistency(self):
@@ -749,14 +746,10 @@ class TestEvaluateAndValidation:
         g = gram_bundle(z_p, z_q, KernelSpec(t=1.0), KernelSpec(t=2.0))
         assert np.allclose(13 * g.K_qp.T, 29 * g.K_pq, rtol=1e-14)
 
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError, match="scale"):
-            RatioEstimate(centers=np.zeros((1, 1)), v=np.zeros(1), kernel=KernelSpec(t=1.0), scale="raw")
-
     @pytest.mark.parametrize("rows", [1, 63, 64, 129, 191, 255, 256, 640, 1378, 2000, 5000])
     @pytest.mark.parametrize("d", [1, 5])
     def test_row_blocks_equal_whole_gram_product(self, rows, d):
-        # evaluate and LsifRatio.evaluate build k(X, centers) in row blocks;
+        # evaluate builds k(X, centers) in row blocks;
         # each block's product is bitwise those rows of the whole one on one
         # BLAS thread, as every command runs (on two, OpenBLAS splits the
         # whole 1378-row dgemv across threads and moves a few last bits)
@@ -767,11 +760,38 @@ class TestEvaluateAndValidation:
                 centers, v = rng.standard_normal((n, d)) * 1.5, rng.standard_normal(n)
                 k = KernelSpec(t=0.8, normalized=d == 1)
                 product = gaussian_kernel_matrix(X, centers, k) @ v
-                plain = RatioEstimate(centers=centers, v=v, kernel=k, scale="plain")
-                assert np.array_equal(plain.evaluate(X), product)
-                over_n = RatioEstimate(centers=centers, v=v, kernel=k, scale="over_n")
-                assert np.array_equal(evaluate(over_n, X), product / n)
-                assert np.array_equal(LsifRatio(centers=centers, alpha=v, kernel=k).evaluate(X), product)
+                est = RatioEstimate(centers=centers, v=v, kernel=k)
+                assert np.array_equal(est.evaluate(X), product)
+
+    @pytest.mark.parametrize("lams", [[1e-4], list(LAMBDA_GRID)], ids=["one_lam", "six_lams"])
+    def test_every_estimate_reads_as_kernel_times_v(self, lams):
+        # one format: every solver's, path's and LSIF's estimate is
+        # evaluated as k(X, centers) @ v, with no scale of its own
+        z_p, z_q = instance(26, n=40, m=30)
+        X = np.random.default_rng(27).standard_normal((100, 2))  # one row block
+        k, k_prime, k_h = KernelSpec(t=0.7), KernelSpec(t=1.1), KernelSpec(t=0.9)
+        q_vals = np.abs(np.random.default_rng(28).standard_normal(40))
+        lam = lams[0]
+        with linalg.blas_threads(1):
+            estimates = [
+                solve_type1(z_p, z_q, k, k_h, lam),
+                solve_type15(z_p, z_q, k, k_prime, k_h, lam),
+                solve_type2(z_p, q_vals, k, k_h, lam),
+                solve_combined(z_p, z_q, k, k_h, 0.4, lam),
+                solve_rkhs_loss(z_p, z_q, k, lam),
+                solve_spectral(z_p, q_vals, k, 10),
+                *solve_type1_path(z_p, z_q, k, lams),
+                *solve_type15_path(z_p, z_q, k, k_prime, lams),
+                *solve_type2_path(z_p, q_vals, k, lams),
+                *solve_combined_path(z_p, z_q, k, 0.4, lams),
+                *solve_rkhs_loss_path(z_p, z_q, k, lams),
+                lsif_unconstrained(z_p, z_q, 0.7, lam),
+                *lsif_unconstrained(z_p, z_q, 0.7, lams),
+            ]
+            assert len(estimates) == 7 + 6 * len(lams)
+            for est in estimates:
+                assert isinstance(est, RatioEstimate)
+                assert np.array_equal(est.evaluate(X), gaussian_kernel_matrix(X, est.centers, est.kernel) @ est.v)
 
     @pytest.mark.parametrize("name", ["evaluate", "kde"])
     def test_holds_a_quarter_of_the_gram(self, name):
@@ -779,7 +799,7 @@ class TestEvaluateAndValidation:
         rng = np.random.default_rng(23)
         X, centers = rng.standard_normal((4000, 5)), rng.standard_normal((1500, 5))
         k = KernelSpec(t=1.0)
-        est = RatioEstimate(centers=centers, v=rng.standard_normal(1500), kernel=k, scale="over_n")
+        est = RatioEstimate(centers=centers, v=rng.standard_normal(1500), kernel=k)
         call = {"evaluate": lambda: evaluate(est, X), "kde": lambda: kde(centers, X, k)}[name]
         tracemalloc.start()
         try:
@@ -814,6 +834,14 @@ class TestSolverErrors:
         with pytest.raises(ValueError, match="non-finite"):
             solve_type2(z_p, np.full(5, np.nan), k, k, 1e-3)
 
+    def test_spectral_target_errors_name_target(self):
+        z_p, _ = instance(29, n=5)
+        k = KernelSpec(t=1.0)
+        with pytest.raises(ValueError, match=r"^target must have shape \(5,\)"):
+            solve_spectral(z_p, np.ones(4), k, 2)
+        with pytest.raises(ValueError, match="^target contains non-finite"):
+            solve_spectral(z_p, np.full(5, np.nan), k, 2)
+
     def test_singular_solve_raises(self):
         with pytest.raises(NumericalError, match="solve failed"):
             solve_linear(np.zeros((3, 3)), np.ones(3))
@@ -844,7 +872,8 @@ def dense_path(z_p, K_pp, target, k, lams):
     """The regularization path from the dense eigendecomposition of K_pp."""
     w, Q = eigh_descending(K_pp)
     c = Q.T @ target
-    return [RatioEstimate(centers=z_p, v=Q @ (w / (w ** 3 + lam) * c), kernel=k, scale="over_n") for lam in lams]
+    n = z_p.shape[0]
+    return [RatioEstimate(centers=z_p, v=Q @ (w / (w ** 3 + lam) * c) / n, kernel=k) for lam in lams]
 
 
 def gap_to_dense(z_p, z_q, k, lams, probes):
