@@ -80,6 +80,16 @@ route):
 - fit_peak_mb: the `tracemalloc` peak of one call, in MiB: the most of
   the memory numpy and Python allocated in the call that was held at once
 
+For each combined size (n p-points from N(0, 1), m q-points from
+N(0.5, 0.8^2), d = 1, normalized kernel at t = 0.4) it records, as
+combined_ms, the median over REPEATS calls of `solvers.solve_combined_path`
+with gamma = 0.5 over the six-value lambda grid, and as combined_peak_mb
+the `tracemalloc` peak of one call in MiB:
+
+- combined_path_n640_m800: a training fold of a CV cell of `estimate` at
+  n = m = 1000 with the combined setting (800-point CV subsets, 5 folds)
+- combined_path_n1000_m1000: the final fit's sizes of that `estimate`
+
 For shift-5d's resampling layer it records, as pca_resample_ms, the
 median over REPEATS calls of `data.pca_resample`, with the number of rows
 kept:
@@ -177,6 +187,11 @@ EVAL_SIZES = (
 )
 KDE_SIZES = (
     ("kde_eval2000_n300_d1", 300, 2000),
+)
+# (name, n p-points, m q-points) of the combined layer; d = 1, t = 0.4, gamma = 0.5
+COMBINED_SIZES = (
+    ("combined_path_n640_m800", 640, 800),
+    ("combined_path_n1000_m1000", 1000, 1000),
 )
 # (name, pool rows, d) of the resampling layer
 RESAMPLE_SIZES = (
@@ -362,6 +377,15 @@ def run():
                 return kernels.kde(points, eval_X, spec)
 
             results[name] = {"n": n, "eval_n": eval_n, "kde_ms": median_ms(density), "kde_peak_mb": peak_mb(density)}
+        for name, n, m in COMBINED_SIZES:
+            z_p, z_q = cv_samples(rng, n, m, 1)
+            k = kernels.KernelSpec(t=0.4)
+
+            def combined():
+                return solvers.solve_combined_path(z_p, z_q, k, 0.5, lams)
+
+            results[name] = {"n": n, "m": m, "d": 1, "t": 0.4, "gamma": 0.5, "combined_ms": median_ms(combined),
+                             "combined_peak_mb": peak_mb(combined)}
         rng = np.random.default_rng(3)
         for name, rows, d in RESAMPLE_SIZES:
             pool = cv_samples(rng, rows, 0, d)[0]
@@ -443,6 +467,10 @@ def main(argv=None):
             continue
         if "kde_ms" in r:
             print(f"{args.label:>8} {name:>14}  kde {r['kde_ms']:9.2f} ms  traced peak {r['kde_peak_mb']:6.2f} MiB")
+            continue
+        if "combined_ms" in r:
+            print(f"{args.label:>8} {name:>14}  solve_combined_path {r['combined_ms']:9.2f} ms"
+                  f"  traced peak {r['combined_peak_mb']:6.2f} MiB")
             continue
         if "pca_resample_ms" in r:
             print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")

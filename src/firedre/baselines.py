@@ -128,7 +128,7 @@ class TikdeRatio:
     kernel: KernelSpec
     epsilon: float
 
-    def evaluate(self, X, clip_negative=False):
+    def evaluate(self, X):
         p_hat = kde(self.z_p, X, self.kernel)
         q_hat = kde(self.z_q, X, self.kernel)
         return q_hat / np.maximum(p_hat, self.epsilon)
@@ -262,7 +262,7 @@ class TrueRatio:
         if self.p.dim != self.q.dim:
             raise ValueError(f"p has dim {self.p.dim}, q has dim {self.q.dim}")
 
-    def evaluate(self, X, clip_negative=False):
+    def evaluate(self, X):
         pd = self.p.pdf(X)
         if np.any(pd == 0.0):
             raise ValueError("true ratio undefined: p(x) = 0 at some evaluation point")

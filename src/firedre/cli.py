@@ -3,15 +3,16 @@
 Subcommands: estimate | cv | simulate | downstream | resample.  Each takes
 --config <json> plus --seed / --out / --threads overrides, writes results
 and a fully resolved config echo into the output directory (one writer,
-_write_outputs, which makes the directory only once the results are
-complete), and exits 0 on success, 2 on config validation failure, 3 on
-numerical failure (with a one-line JSON reason on stderr).  Re-running any
-command from its echoed config reproduces the outputs byte for byte, apart
-from the timestamp, on the same numpy/BLAS build (the last bits of BLAS
-results can change with the build).  Every runner runs its body inside one
-linalg.blas_threads(1) region, so neither --threads nor the BLAS thread
-count (OPENBLAS_NUM_THREADS) changes an output bit, and no idle OpenBLAS
-worker spins after a parallel call.  --threads (default: the usable CPUs)
+_write_outputs, which stamps the results.json header and makes the
+directory only once the results are complete), and exits 0 on success, 2
+on config validation failure, 3 on numerical failure (with a one-line JSON
+reason on stderr).  Re-running any command from its echoed config
+reproduces the outputs byte for byte, apart from the timestamp, on the same
+numpy/BLAS build (the last bits of BLAS results can change with the
+build).  Every runner runs its body inside one linalg.blas_threads(1)
+region, so neither --threads nor the BLAS thread count
+(OPENBLAS_NUM_THREADS) changes an output bit, and no idle OpenBLAS worker
+spins after a parallel call.  --threads (default: the usable CPUs)
 sets the workers that run CV cells and simulate trials; the final fit and
 evaluation run on the calling thread alone, so they take longer in wall
 time than on several BLAS threads.  A simulate trial computes the squared
@@ -108,12 +109,13 @@ def write_csv(path, header, rows):
     _write_text(path, "\n".join([",".join(header), *body]) + "\n")
 
 
-def _timestamp():
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _write_outputs(out_dir, cfg, command, payload, csvs):
+    """Make out_dir, write each (name, header, rows) of csvs, results.json and config_echo.json; return payload.
 
-
-def _write_outputs(out_dir, cfg, payload, csvs):
-    """Make out_dir, write each (name, header, rows) of csvs, results.json and config_echo.json; return payload."""
+    payload gets the header every results.json carries: schema_version, command and a timestamp of now.
+    """
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    payload.update({"schema_version": SCHEMA_VERSION, "command": command, "timestamp": stamp})
     os.makedirs(out_dir, exist_ok=True)
     for name, header, rows in csvs:
         write_csv(os.path.join(out_dir, name), header, rows)
@@ -217,9 +219,6 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
     z_p, z_q, q_fn = _estimation_inputs(cfg)
     cvres, fit = _select_cell(cfg, z_p, z_q, q_fn, threads)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "timestamp": _timestamp(),
         "n": int(z_p.shape[0]),
         "m": int(z_q.shape[0]),
         "selected_t": cvres.selected_t,
@@ -241,7 +240,7 @@ def run_estimate(cfg: EstimateConfig, out_dir, threads=1, final=True, command="e
                 "weights_mean": float(np.mean(weights)),
             }
         )
-    return _write_outputs(out_dir, cfg, payload, csvs)
+    return _write_outputs(out_dir, cfg, command, payload, csvs)
 
 
 def run_cv(cfg: EstimateConfig, out_dir, threads=1):
@@ -351,14 +350,8 @@ def run_bench(cfg: BenchConfig, out_dir, threads=1):
         for n in cfg.n_grid:
             errs = [r[3] for r in rows if r[0] == method and r[1] == n]
             medians[method][str(n)] = float(np.median(errs))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "timestamp": _timestamp(),
-        "medians": medians,
-        "rows_path": "bench.csv",
-    }
-    return _write_outputs(out_dir, cfg, payload, [("bench.csv", ["method", "n", "rep", "error", "t", "param"], rows)])
+    csvs = [("bench.csv", ["method", "n", "rep", "error", "t", "param"], rows)]
+    return _write_outputs(out_dir, cfg, "simulate", {"medians": medians, "rows_path": "bench.csv"}, csvs)
 
 
 @blas_threads(1)
@@ -403,33 +396,24 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
             metrics[variant][str(s)] = eval_metrics(model, X_te, y_te)
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "downstream",
-        "timestamp": _timestamp(),
         "task": cfg.task,
         "sizes": list(sizes),
         "metrics": metrics,
         "ratio": {"selected_t": cvres.selected_t, "selected_lambda": cvres.selected_lam},
         "weights_path": "weights.csv",
     }
-    return _write_outputs(out_dir, cfg, payload, [("weights.csv", ["weight"], weights[:, None])])
+    return _write_outputs(out_dir, cfg, "downstream", payload, [("weights.csv", ["weight"], weights[:, None])])
 
 
 @blas_threads(1)
 def run_resample(cfg: ResampleConfig, out_dir):
     X, labels = _load_source(cfg.data, "data", cfg.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "resample",
-        "timestamp": _timestamp(),
-        "total": int(X.shape[0]),
-        "kept_path": "kept.csv",
-    }
+    payload = {"total": int(X.shape[0]), "kept_path": "kept.csv"}
     if cfg.kind == "pca_sigmoid":
-        _, sigma_v = first_pc(X)
-        b_abs = cfg.b * sigma_v if cfg.b_units == "sigma" else cfg.b
+        # b in units of sigma_v needs sigma_v before the draw; pca_resample reports it otherwise
+        b_abs = cfg.b * first_pc(X)[1] if cfg.b_units == "sigma" else cfg.b
         res = pca_resample(X, labels, cfg.a, b_abs, derive_seed(cfg.seed, "resample"))
-        payload.update({"sigma_v": sigma_v, "b_absolute": float(b_abs)})
+        payload.update({"sigma_v": res.sigma_v, "b_absolute": float(b_abs)})
     else:
         if labels is None:
             raise ConfigError("label_subset mode needs a label_column in the data source")
@@ -452,7 +436,7 @@ def run_resample(cfg: ResampleConfig, out_dir):
             rows = np.column_stack([res.X, res.labels])
         else:
             rows = [[*row, lab] for row, lab in zip(res.X.tolist(), res.labels.tolist())]
-    return _write_outputs(out_dir, cfg, payload, [("kept.csv", header, rows)])
+    return _write_outputs(out_dir, cfg, "resample", payload, [("kept.csv", header, rows)])
 
 
 # === entry point ===

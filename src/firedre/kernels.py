@@ -31,11 +31,8 @@ class KernelSpec:
 
     t: float
     normalized: bool = True
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
         if not np.isfinite(self.t) or self.t <= 0:
             raise ValueError(f"kernel bandwidth t must be finite and > 0, got {self.t}")
 

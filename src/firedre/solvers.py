@@ -270,20 +270,25 @@ def solve_combined_path(z_p, z_q, k: KernelSpec, gamma, lams, sq_pp=None, sq_pq=
 
 
 def _combined(z_p, z_q, k, k_h, gamma, lams, sq_pp=None, sq_pq=None):
-    """solve_combined at each lam: its lam-free product M K_H and rhs are built once."""
+    """solve_combined at each lam: its lam-free product M K_H and rhs are built once.
+
+    The one n x m Gram G = k(z_p, z_q) gives K_pq 1 as its row means (bitwise
+    kernel_row_means, type1's target) and is then divided by n in place to
+    K_qp' = G / n; K_qq 1 is summed in row blocks (kernel_row_means), so no
+    m x m Gram is built.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     z_p = as_sample_matrix(z_p, "z_p")
     z_q = as_sample_matrix(z_q, "z_q")
     n, m = z_p.shape[0], z_q.shape[0]
     K_pp, K_H = _p_grams(z_p, k, k_h, sq_pp)
-    G_pq = gaussian_kernel_matrix(z_p, z_q, k, sq=sq_pq)
-    K_qp = G_pq.T / n
-    K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
-    rhs = (gamma / n) * (K_pp @ (G_pq / m).sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
-    del G_pq, K_qq
-    M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
-    del K_qp
+    G = gaussian_kernel_matrix(z_p, z_q, k, sq=sq_pq)
+    target_p = G.mean(axis=1)
+    G /= n
+    rhs = (gamma / n) * (K_pp @ target_p) + ((1.0 - gamma) / m) * (G @ kernel_row_means(z_q, z_q, k))
+    M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (G @ G.T)
+    del G
     P = np.matmul(M, K_H, out=K_pp)
     del K_pp, K_H, M  # the solves then hold only P and LAPACK's copy of it
     coefs = _ridge_solves(P, rhs, lams, "combined system")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from firedre import kernels, solvers
 from firedre.baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from firedre.cli import derive_seed, main, write_csv, write_json
 from firedre.config import BenchConfig, DownstreamConfig, EstimateConfig, ResampleConfig
-from firedre.data import load_csv, simulate
+from firedre.data import first_pc, load_csv, simulate
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, blas_thread_count, blas_threads
 from firedre.selection import run_cells, worker_count
@@ -377,6 +378,14 @@ class TestCommandBlasThreads:
         self.runners(tmp_path)[command]()
         out_dir = tmp_path / command[0]  # runners() names each output directory by its command's initial
         assert set(os.listdir(out_dir)) == self.OWN_FILES[command] | {"results.json", "config_echo.json"}
+
+    @pytest.mark.parametrize("command", sorted(OWN_FILES))
+    def test_each_runner_stamps_the_results_header(self, tmp_path, command):
+        returned = self.runners(tmp_path)[command]()
+        payload = read_results(tmp_path / command[0], drop_timestamp=False)
+        assert payload["schema_version"] == cli.SCHEMA_VERSION and payload["command"] == command
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", payload["timestamp"])
+        assert all(returned[key] == payload[key] for key in ("schema_version", "command", "timestamp"))
 
     def test_estimate_whose_final_fit_fails_makes_no_output_directory(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -793,6 +802,25 @@ class TestResampleCommand:
         kept, _ = load_csv(str(out / "kept.csv"))
         assert kept.shape == (payload["kept"], 2)
         assert 0 < payload["kept"] < 200
+
+    @pytest.mark.parametrize("b_units, pc_calls", [("absolute", 0), ("sigma", 1)])
+    def test_sigma_v_is_read_off_the_resample(self, tmp_path, monkeypatch, b_units, pc_calls):
+        # the runner computes sigma_v itself only when b is in its units; pca_resample reports it otherwise
+        path, X = self.write_data(tmp_path)
+        calls = []
+
+        def spy(X):
+            calls.append(X.shape)
+            return first_pc(X)
+
+        monkeypatch.setattr(cli, "first_pc", spy)
+        mode = {"kind": "pca_sigmoid", "a": 2.0, "b": 1.5, "b_units": b_units}
+        cfg = {"seed": 4, "data": {"csv": path}, "mode": mode}
+        payload = read_results(run(tmp_path, "resample", cfg), drop_timestamp=False)
+        assert len(calls) == pc_calls
+        sigma_v = first_pc(load_csv(path)[0])[1]
+        assert payload["sigma_v"] == sigma_v
+        assert payload["b_absolute"] == (1.5 * sigma_v if b_units == "sigma" else 1.5)
 
     def test_label_subset_round_trip(self, tmp_path):
         path, _ = self.write_data(tmp_path, with_labels=True)

@@ -228,10 +228,6 @@ class TestKernelErrors:
         with pytest.raises(ValueError):
             KernelSpec(t=t)
 
-    def test_bad_family_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(t=1.0, family="laplace")
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             gaussian_kernel_matrix(np.zeros((2, 2)), np.zeros((2, 3)), KernelSpec(t=1.0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firedre import linalg, solvers
+from firedre import kernels, linalg, solvers
 from firedre.baselines import GaussianDensity, MixtureDensity, lsif_unconstrained
 from firedre.data import simulate
 from firedre.kernels import KernelSpec, _sq_dists, bandwidth_grid, gaussian_kernel_matrix, kde
@@ -160,10 +160,10 @@ class TestSharedGram:
         g = gram_bundle(self.z_p, self.z_q, k, k)
         assert np.array_equal(g.K_pp, K_pp) and np.array_equal(g.K_H, K_H)
         G_pq = gaussian_kernel_matrix(self.z_p, self.z_q, k)
-        K_pq, K_qp = G_pq / m, G_pq.T / n
-        K_qq = gaussian_kernel_matrix(self.z_q, self.z_q, k) / m
-        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
-        rhs = (gamma / n) * (K_pp @ K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
+        K = G_pq / n  # K_qp'
+        target_q = gaussian_kernel_matrix(self.z_q, self.z_q, k).sum(axis=1) / m
+        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K @ K.T)
+        rhs = (gamma / n) * (K_pp @ (G_pq.sum(axis=1) / m)) + ((1.0 - gamma) / m) * (K @ target_q)
         expect = solve_linear(M @ K_H + self.LAM * np.eye(n), rhs)
         assert np.array_equal(solve_combined(self.z_p, self.z_q, k, k, gamma, self.LAM).v, expect)
 
@@ -194,6 +194,28 @@ class TestSharedGram:
         solve_type1(self.z_p, self.z_q, k, KernelSpec(t=0.7), self.LAM)
         assert shapes.count((n, n)) == 2
 
+    def test_combined_builds_no_q_by_q_gram(self, monkeypatch):
+        # K_qq 1 is summed in row blocks; at m = 800 kernel_row_means takes several
+        z_p, z_q = instance(32, n=40, m=800)
+        k, m = self.k, z_q.shape[0]
+        assert len(kernels.row_blocks(m, kernels._BLOCK_ELEMS // m)) > 1
+        shapes = []
+
+        def spy(A, B, spec, sq=None):
+            shapes.append((len(A), len(B)))
+            return gaussian_kernel_matrix(A, B, spec, sq=sq)
+
+        monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy)
+        monkeypatch.setattr(solvers, "gaussian_kernel_matrix", spy)
+        for call in (
+            lambda: solve_combined(z_p, z_q, k, k, 0.5, self.LAM),
+            lambda: solve_combined_path(z_p, z_q, k, 0.5, [1e-3, self.LAM]),
+        ):
+            shapes.clear()
+            call()
+            assert (m, m) not in shapes
+            assert sum(rows for rows, cols in shapes if cols == m) == 40 + m  # G_pq and the blocks of K_qq
+
 
 def direct_system_oracle(setting, z_p, z_q, k, k_h, lam, k_prime=None, q=None, gamma=None):
     # v of each direct solver with A assembled densely, ridge term from np.eye
@@ -205,10 +227,10 @@ def direct_system_oracle(setting, z_p, z_q, k, k_h, lam, k_prime=None, q=None, g
         return solve_linear(K_pp @ K_H + n * lam * np.eye(n), target)
     if setting == "combined":
         G_pq = gaussian_kernel_matrix(z_p, z_q, k)
-        K_pq, K_qp = G_pq / m, G_pq.T / n
-        K_qq = gaussian_kernel_matrix(z_q, z_q, k) / m
-        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K_qp.T @ K_qp)
-        rhs = (gamma / n) * (K_pp @ K_pq.sum(axis=1)) + ((1.0 - gamma) / m) * (K_qp.T @ K_qq.sum(axis=1))
+        K = G_pq / n  # K_qp'
+        target_q = gaussian_kernel_matrix(z_q, z_q, k).sum(axis=1) / m
+        M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (K @ K.T)
+        rhs = (gamma / n) * (K_pp @ (G_pq.sum(axis=1) / m)) + ((1.0 - gamma) / m) * (K @ target_q)
         return solve_linear(M @ K_H + lam * np.eye(n), rhs)
     if setting == "type2":
         target = q
