@@ -20,8 +20,11 @@ distances among its samples once for every fit; each method then lists the
 (kernel, output, coefficients) reads it takes off the evaluation Grams (a
 fire or LSIF estimate is RatioEstimate(centers, v, kernel), read as
 k(X, centers) @ v), and kernels.read_rows applies them by row blocks of the
-evaluation sample, computing each block's distances once and each distinct
-kernel's Gram once per block.
+evaluation sample, computing each block's distances once.  On a bandwidth
+grid that is a power-of-two chain, as bandwidth_grid's is, each block is
+exponentiated once at the largest t and squared down the grid, so the
+errors agree with one exponential per entry and t to a few parts in 1e12;
+on any other grid each kernel's Gram is built in turn and they are bitwise.
 """
 
 import argparse
@@ -258,8 +261,10 @@ def _bench_trial(methods, z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     matrix (each estimate reads as k(X, centers) @ v), TIKDE its density
     (a row mean).  The reads against
     z_q run first, and LSIF is scored and its predictions freed before
-    fire's are allocated for the reads against z_p.  Every error is bitwise
-    what whole evaluation Grams built from the points give.
+    fire's are allocated for the reads against z_p.  Every error is what
+    whole evaluation Grams give with read_rows' arithmetic: on a grid that
+    is a power-of-two chain, one exponential per entry at the largest t,
+    squared down to each t.
 
     A fire fit that fails at some t skips only fire at that t.  A ratio is
     nonnegative, so every method's predictions are clamped at zero before

@@ -36,6 +36,10 @@ class KernelSpec:
         if not np.isfinite(self.t) or self.t <= 0:
             raise ValueError(f"kernel bandwidth t must be finite and > 0, got {self.t}")
 
+    def scale(self, d):
+        """The prefactor c(t) = (2 pi t)^(-d/2) in d dimensions; 1 for an unnormalized kernel."""
+        return (2.0 * np.pi * self.t) ** (-0.5 * d) if self.normalized else 1.0
+
 
 def as_sample_matrix(X, name="X"):
     """Validate and return an (n, d) float array of sample points."""
@@ -100,8 +104,7 @@ def gaussian_kernel_matrix(A, B, spec: KernelSpec, sq=None):
         G = np.divide(sq, -2.0 * spec.t, order="C")
     np.exp(G, out=G)
     if spec.normalized:
-        d = A.shape[1]
-        G *= (2.0 * np.pi * spec.t) ** (-0.5 * d)
+        G *= spec.scale(A.shape[1])
     return G
 
 
@@ -141,17 +144,43 @@ def product_blocks(rows, others):
     return row_blocks(rows, _product_rows(rows, others))
 
 
+def _ladder(kernels):
+    """[(t, squarings from the rung above, the kernels at t)], largest t first, where the bandwidths form a chain.
+
+    In a power-of-two chain every t is t_max / 2^k exactly (equal frexp
+    mantissas; one t is a chain of one), so exp(-D / (2 t)) is
+    exp(-D / (2 t_max)) squared k times, and -D / (2 t) is 2^k times
+    -D / (2 t_max) bit for bit.  None for a lone kernel or a list that is
+    not a chain.
+    """
+    ts = sorted({k.t for k in kernels}, reverse=True)
+    if len(kernels) < 2 or len({np.frexp(t)[0] for t in ts}) > 1:
+        return None
+    exps = [int(np.frexp(t)[1]) for t in ts]
+    return [(t, above - e, [k for k in kernels if k.t == t]) for t, e, above in zip(ts, exps, exps[:1] + exps)]
+
+
 def read_rows(X, Z, reads, sq=None):
     """Apply each (kernel, out, coef) of reads to k(X, Z) by row blocks of X: out[rows] = G @ coef.
 
     coef None reads G.mean(axis=1).  The blocks are the row_blocks of the
     largest floor any read needs: _BLOCK_ELEMS entries for a row mean,
-    _product_rows for a product with a vector or an n x L matrix, so each
-    out is bitwise that read of the whole Gram.  Per block, each distinct
-    kernel's Gram is built once and dropped before the next: a lone
-    kernel's over its own distances, in place; several from one
-    D(X[rows], Z); every one from sq[rows] when ``sq`` (as in
-    gaussian_kernel_matrix) is given.  With no reads, nothing is computed.
+    _product_rows for a product with a vector or an n x L matrix.  Per block:
+
+    - several kernels whose bandwidths form a power-of-two chain (_ladder),
+      as those of a bandwidth_grid do, share one array: the unnormalized
+      Gram at the largest t (one exponentiation, in place over
+      D(X[rows], Z), or over one copy of sq[rows]), squared in place down
+      to each smaller t.  A normalized read is c(t) times that array's
+      read.  Each squaring doubles the entries' relative error, so a read k
+      squarings down agrees with the Gram's to about 2^k eps |G| @ |coef|.
+    - any other list builds each distinct kernel's Gram in turn
+      (gaussian_kernel_matrix), dropped before the next: a lone kernel's
+      over its own distances, in place; several from one D(X[rows], Z);
+      every one from sq[rows] when ``sq`` (as in gaussian_kernel_matrix)
+      is given.  Each out is then bitwise that read of the whole Gram.
+
+    With no reads, nothing is computed.
     """
     if not reads:
         return
@@ -162,8 +191,20 @@ def read_rows(X, Z, reads, sq=None):
         _BLOCK_ELEMS // Z.shape[0] if coef is None else _product_rows(X.shape[0], coef.size if coef.ndim > 1 else 0)
         for _, _, coef in reads
     )
+    ladder = _ladder(list(by_kernel))
     for rows in row_blocks(X.shape[0], least):
         A = X[rows]
+        if ladder:
+            U = gaussian_kernel_matrix(A, Z, KernelSpec(ladder[0][0], normalized=False), None if sq is None else sq[rows])
+            for _, squarings, at_t in ladder:
+                for _ in range(squarings):
+                    np.multiply(U, U, out=U)
+                for kernel in at_t:
+                    c = kernel.scale(Z.shape[1])
+                    for out, coef in by_kernel[kernel]:
+                        out[rows] = c * (U.mean(axis=1) if coef is None else U @ coef)
+            del U
+            continue
         D = sq[rows] if sq is not None else _sq_dists(A, Z) if len(by_kernel) > 1 else None
         for kernel, kernel_reads in by_kernel.items():
             G = gaussian_kernel_matrix(A, Z, kernel, sq=D)

@@ -275,7 +275,8 @@ def _combined(z_p, z_q, k, k_h, gamma, lams, sq_pp=None, sq_pq=None):
     The one n x m Gram G = k(z_p, z_q) gives K_pq 1 as its row means (bitwise
     kernel_row_means, type1's target) and is then divided by n in place to
     K_qp' = G / n; K_qq 1 is summed in row blocks (kernel_row_means), so no
-    m x m Gram is built.
+    m x m Gram is built.  M is summed into the array of G G^T, after G is
+    dropped.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -287,8 +288,10 @@ def _combined(z_p, z_q, k, k_h, gamma, lams, sq_pp=None, sq_pq=None):
     target_p = G.mean(axis=1)
     G /= n
     rhs = (gamma / n) * (K_pp @ target_p) + ((1.0 - gamma) / m) * (G @ kernel_row_means(z_q, z_q, k))
-    M = (gamma / n) * (K_pp @ K_pp) + ((1.0 - gamma) / m) * (G @ G.T)
+    M = G @ G.T
+    M *= (1.0 - gamma) / m
     del G
+    M += (gamma / n) * (K_pp @ K_pp)  # IEEE addition commutes: the sum of the other order, bit for bit
     P = np.matmul(M, K_H, out=K_pp)
     del K_pp, K_H, M  # the solves then hold only P and LAPACK's copy of it
     coefs = _ridge_solves(P, rhs, lams, "combined system")

@@ -400,16 +400,38 @@ class TestCommandBlasThreads:
 # === oracle: per-method bandwidth loops over whole evaluation Grams built from the points ===
 
 
-def oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
+def side_reads(eval_X, Z, specs, ladder=True):
+    """{kernel: read} for one side of a trial: read(coef) is k(eval_X, Z) @ coef over the whole Gram, None its row mean.
+
+    With ``ladder``, by the arithmetic kernels.read_rows takes for this list
+    of kernels: where several have bandwidths t_max / 2^h, the unnormalized
+    Gram at t_max squared h times, a normalized read scaled by c(t) after
+    the product.  Otherwise, and without ``ladder``, each kernel's own Gram,
+    one exponentiation per entry.
+    """
+    specs = list(dict.fromkeys(specs))
+    ts = sorted({k.t for k in specs}, reverse=True)
+    halvings = {t: round(np.log2(ts[0] / t)) for t in ts}
+    if not (ladder and len(specs) > 1 and all(ts[0] / t == 2.0 ** h for t, h in halvings.items())):
+        grams = {k: gaussian_kernel_matrix(eval_X, Z, k) for k in specs}
+        return {k: (lambda coef, G=G: G.mean(axis=1) if coef is None else G @ coef) for k, G in grams.items()}
+    top = gaussian_kernel_matrix(eval_X, Z, KernelSpec(t=ts[0], normalized=False))
+    grams = {}
+    for t, h in halvings.items():
+        grams[t] = top
+        for _ in range(h):
+            grams[t] = grams[t] * grams[t]
+    scales = {k: (2.0 * np.pi * k.t) ** (-0.5 * eval_X.shape[1]) if k.normalized else 1.0 for k in specs}
+    return {k: (lambda coef, G=grams[k.t], c=scales[k]: c * (G.mean(axis=1) if coef is None else G @ coef))
+            for k in specs}
+
+
+def oracle_fire(fits, on_p, r_eval, t_grid, lam_grid):
     best = (np.inf, np.nan, np.nan)
-    for t in t_grid:
-        try:
-            ests = fit(z_p, z_q, float(t), lam_grid)
-        except (NumericalError, np.linalg.LinAlgError):
+    for t, ests in zip(t_grid, fits):
+        if ests is None:
             continue
-        K_eval = gaussian_kernel_matrix(eval_X, z_p, ests[0].kernel)
-        V = np.stack([e.v for e in ests], axis=1)
-        preds = np.maximum(K_eval @ V, 0.0)
+        preds = np.maximum(on_p[ests[0].kernel](np.stack([e.v for e in ests], axis=1)), 0.0)
         errs = np.mean((preds - r_eval[:, None]) ** 2, axis=0)
         j = int(np.argmin(errs))
         if errs[j] < best[0]:
@@ -417,12 +439,11 @@ def oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit):
     return best
 
 
-def oracle_tikde(z_p, z_q, eval_X, r_eval, t_grid):
+def oracle_tikde(z_p, on_p, on_q, r_eval, t_grid):
     best = (np.inf, np.nan, np.nan)
     for t in t_grid:
         k = KernelSpec(t=float(t))
-        p_hat = gaussian_kernel_matrix(eval_X, z_p, k).mean(axis=1)
-        q_hat = gaussian_kernel_matrix(eval_X, z_q, k).mean(axis=1)
+        p_hat, q_hat = on_p[k](None), on_q[k](None)
         for eps in tikde_epsilon_grid(z_p, t):
             err = float(np.mean((q_hat / np.maximum(p_hat, eps) - r_eval) ** 2))
             if err < best[0]:
@@ -430,27 +451,32 @@ def oracle_tikde(z_p, z_q, eval_X, r_eval, t_grid):
     return best
 
 
-def oracle_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid):
+def oracle_lsif(fits, on_q, r_eval, t_grid, lam_grid):
     best = (np.inf, np.nan, np.nan)
-    for t in t_grid:
-        G_eval = gaussian_kernel_matrix(eval_X, z_q, KernelSpec(t=float(t)))
-        for lam, est in zip(lam_grid, lsif_unconstrained(z_p, z_q, t, lam_grid)):
+    for t, ests in zip(t_grid, fits):
+        for lam, est in zip(lam_grid, ests):
             if est is None:
                 continue
-            err = float(np.mean((np.maximum(G_eval @ est.v, 0.0) - r_eval) ** 2))
+            err = float(np.mean((np.maximum(on_q[est.kernel](est.v), 0.0) - r_eval) ** 2))
             if err < best[0]:
                 best = (err, float(t), float(lam))
     return best
 
 
-def oracle_bench_csv(cfg_dict, path):
-    """bench.csv as the per-method loops write it, trials run like run_bench's."""
+def oracle_bench_csv(cfg_dict, path, ladder=True):
+    """bench.csv as the per-method loops write it, trials run like run_bench's (side_reads: ``ladder``)."""
     cfg = BenchConfig.from_dict(cfg_dict)
     oracle = true_ratio(cfg.p_density, cfg.q_density)
     lam_grid = np.asarray(cfg.grids.lam, dtype=np.float64)
     s = cfg.solver
     fit = cli.fit_factory(s.setting, gamma=s.gamma, t_prime_ratio=s.t_prime_ratio, q_fn=cfg.q_density.pdf,
                           normalized=s.normalized)
+
+    def fire_fit(z_p, z_q, t):
+        try:
+            return fit(z_p, z_q, float(t), lam_grid)
+        except (NumericalError, np.linalg.LinAlgError):
+            return None
 
     def one(task):
         n, rep = task
@@ -460,13 +486,18 @@ def oracle_bench_csv(cfg_dict, path):
         eval_X = simulate(cfg.q_density, cfg.eval_n, derive_seed(cfg.seed, tag + ":eval"))
         r_eval = oracle.evaluate(eval_X)
         t_grid = cli._t_grid(cfg.grids, z_p)
+        fire = [fire_fit(z_p, z_q, t) for t in t_grid] if "fire" in cfg.methods else []
+        lsif = [lsif_unconstrained(z_p, z_q, t, lam_grid) for t in t_grid] if "lsif" in cfg.methods else []
+        densities = [KernelSpec(t=float(t)) for t in t_grid] if "tikde" in cfg.methods else []
+        on_q = side_reads(eval_X, z_q, densities + [e.kernel for ests in lsif for e in ests if e], ladder)
+        on_p = side_reads(eval_X, z_p, [ests[0].kernel for ests in fire if ests] + densities, ladder)
         rows = []
-        if "fire" in cfg.methods:
-            rows.append(["fire", n, rep, *oracle_fire(z_p, z_q, eval_X, r_eval, t_grid, lam_grid, fit)])
-        if "tikde" in cfg.methods:
-            rows.append(["tikde", n, rep, *oracle_tikde(z_p, z_q, eval_X, r_eval, t_grid)])
-        if "lsif" in cfg.methods:
-            rows.append(["lsif", n, rep, *oracle_lsif(z_p, z_q, eval_X, r_eval, t_grid, lam_grid)])
+        if fire:
+            rows.append(["fire", n, rep, *oracle_fire(fire, on_p, r_eval, t_grid, lam_grid)])
+        if densities:
+            rows.append(["tikde", n, rep, *oracle_tikde(z_p, on_p, on_q, r_eval, t_grid)])
+        if lsif:
+            rows.append(["lsif", n, rep, *oracle_lsif(lsif, on_q, r_eval, t_grid, lam_grid)])
         return rows
 
     tasks = [(n, rep) for n in cfg.n_grid for rep in range(cfg.repetitions)]
@@ -549,6 +580,21 @@ class TestSharedGramTrial:
         rows = self.assert_matches_oracle(tmp_path, cfg, threads=threads)
         assert [r[0] for r in rows] == ["fire", "tikde", "lsif"] * 2
 
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_same_selections_as_one_exponential_per_entry(self, tmp_path, solver):
+        """On the default ten-value bandwidth grid (up to 9 squarings), every (t, param) is the direct-exp oracle's
+        and every error is within 1e-10 relative of it."""
+        cfg = self.cfg(n_grid=[70, 300], m=300, repetitions=2, eval_n=2000, solver=self.SOLVERS[solver],
+                       grids={"lambda": [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]})
+        out = run(tmp_path, "simulate", cfg, extra=("--threads", "1"))
+        got = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()]
+        direct = [line.split(",") for line in oracle_bench_csv(cfg, tmp_path / "direct.csv", ladder=False)
+                  .decode().splitlines()]
+        assert len(got) == len(direct) == 1 + 3 * 4
+        for row, ref in zip(got[1:], direct[1:]):
+            assert row[:3] + row[4:] == ref[:3] + ref[4:]
+            assert abs(float(row[3]) - float(ref[3])) <= 1e-10 * abs(float(ref[3]))
+
     def test_large_fire_products_keep_their_dgemm_route(self, tmp_path):
         # at n = 300, L = 3 fixed 256-row blocks would move fire's errors: the
         # blocks' products would take OpenBLAS's small-matrix route, the whole's not
@@ -596,13 +642,15 @@ class TestSharedGramTrial:
         assert any(float(r[4]) == failing for r in rows if r[0] == "tikde")
         assert all(np.isfinite(float(r[3])) for r in rows)
 
-    @pytest.mark.parametrize("normalized, p_kernels", [(True, 1), (False, 2)])
-    def test_one_eval_gram_per_kernel_and_t(self, tmp_path, monkeypatch, normalized, p_kernels):
-        """One Gram per distinct kernel per (row block, t), each from the block's distances, none alive at once.
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_one_exponentiation_per_block_and_side(self, tmp_path, monkeypatch, normalized):
+        """One Gram per (row block, side), at the largest t, over the block's own distances, none alive at once.
 
-        Against z_q, TIKDE and LSIF share k_t; against z_p, fire's kernel is TIKDE's unless it is unnormalized.
+        Every kernel a side reads (TIKDE's and LSIF's against z_q; fire's, of either kind, and TIKDE's against
+        z_p) has a t of the grid, a power-of-two chain, so each block is exponentiated once and squared down.
         """
         gram, read = kernels.gaussian_kernel_matrix, cli.read_rows
+        top = KernelSpec(t=max(self.T_GRID), normalized=False)
         for eval_n in (90, 601, 2400):
             cfg = self.cfg(solver={"setting": "type15", "normalized": normalized}, eval_n=eval_n)
             sides = [trial_blocks(eval_n, n, cfg["m"], len(cfg["grids"]["lambda"])) for n in cfg["n_grid"]]
@@ -620,19 +668,19 @@ class TestSharedGramTrial:
             def spy(A, B, spec, sq=None):
                 if not reading:  # a fit's Gram, or one the trial's row means build outside its evaluation reads
                     return gram(A, B, spec, sq=sq)
-                assert all(ref() is None for ref in alive), "an earlier evaluation Gram is still alive"
-                assert sq is not None, "an evaluation Gram computes its own distances"
+                assert all(ref() is None for ref in alive), "an earlier evaluation block is still alive"
+                assert sq is None, "an evaluation block is exponentiated over a copy of its distances"
+                assert spec == top
                 G = gram(A, B, spec, sq=sq)
                 assert G.shape[0] in sizes
-                builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest(), spec))
+                builds.append((hashlib.sha256(A.tobytes()).digest(), hashlib.sha256(B.tobytes()).digest()))
                 alive.append(weakref.ref(G))
                 return G
 
             monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy)
             monkeypatch.setattr(cli, "read_rows", spy_read)
             run(tmp_path, "simulate", cfg, out=f"out{eval_n}", extra=("--threads", "1"))
-            per_rep = sum(len(q) + len(p) * p_kernels for q, p in sides) * len(self.T_GRID)
-            assert len(builds) == cfg["repetitions"] * per_rep
+            assert len(builds) == cfg["repetitions"] * sum(len(q) + len(p) for q, p in sides)
             assert len(set(builds)) == len(builds)
 
     @pytest.mark.parametrize("eval_n", [90, 601, 2400])

@@ -391,6 +391,71 @@ class TestReadRows:
             kernels.read_rows(X, Z, reads)
             assert used_blocks[-1] == expected
 
+    @staticmethod
+    def gram_calls(monkeypatch):
+        """The (rows, spec) of each gaussian_kernel_matrix call read_rows makes."""
+        calls, gram = [], kernels.gaussian_kernel_matrix
+
+        def spy(A, B, spec, sq=None):
+            calls.append((A.shape[0], spec))
+            return gram(A, B, spec, sq)
+
+        monkeypatch.setattr(kernels, "gaussian_kernel_matrix", spy)
+        return calls
+
+    def read_all(self, X, Z, wanted, sq=None):
+        outs = [np.empty((X.shape[0], *np.shape(coef)[1:])) for _, coef in wanted]
+        with blas_threads(1):
+            kernels.read_rows(X, Z, [(k, out, coef) for (k, coef), out in zip(wanted, outs)], sq)
+        return outs
+
+    @pytest.mark.parametrize("with_sq", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("rows, m", [(2600, 60), (2000, 300)])
+    def test_power_of_two_chain_agrees_with_the_grams(self, rows, m, d, with_sq, monkeypatch):
+        """t = 1 and t = 0.25 (a gap of two halvings), both kinds at each: one exponentiation per block.
+
+        A read k squarings below the largest t is within 2^(k + 2) eps (|G| @ |coef|) of the whole Gram's read,
+        the unnormalized Gram's times c(t) for a normalized kernel, as the route scales it (bitwise at k = 0).
+        Against the normalized Gram's own product, moving c(t) past the sum alone moves a read by up to about
+        9 eps (|G| @ |coef|) at m = 300 with coefficients of both signs: rounding of the sum, not of the ladder.
+        """
+        rng = np.random.default_rng(10 * rows + d)
+        X, Z = rand_points(rng, rows, d, 1.5), rand_points(rng, m, d, 1.5)
+        v, V = rng.standard_normal(m), rng.standard_normal((m, 6))
+        squarings = {1.0: 0, 0.25: 2}
+        specs = [KernelSpec(t, normalized) for t in squarings for normalized in (True, False)]
+        wanted = [(k, coef) for k in specs for coef in (v, V, None)]
+        sq = kernels._sq_dists(X, Z) if with_sq else None
+        kept = None if sq is None else sq.copy()
+        calls = self.gram_calls(monkeypatch)
+        outs = self.read_all(X, Z, wanted, sq)
+        assert sq is None or np.array_equal(sq, kept)  # the caller's distances are left unchanged
+        top = KernelSpec(1.0, normalized=False)
+        blocks = kernels.row_blocks(rows, max(kernels._BLOCK_ELEMS // m, kernels._product_rows(rows, 6 * m)))
+        assert calls == [(b.stop - b.start, top) for b in blocks] and len(blocks) > 1
+        for (k, coef), out in zip(wanted, outs):
+            G = gaussian_kernel_matrix(X, Z, KernelSpec(k.t, normalized=False))
+            c = (2.0 * np.pi * k.t) ** (-0.5 * d) if k.normalized else 1.0
+            direct, scale = (G.mean(axis=1), G.mean(axis=1)) if coef is None else (G @ coef, G @ np.abs(coef))
+            gap = np.abs(out - c * direct)
+            assert np.all(gap <= 2.0 ** (squarings[k.t] + 2) * np.finfo(float).eps * c * scale)
+            assert squarings[k.t] or not gap.any()
+
+    @pytest.mark.parametrize("ts", [[0.3, 0.5], [1.0, 2.0 * (1.0 + 2.0 ** -52)], [0.4]])
+    def test_lone_kernel_and_non_chains_read_each_gram(self, ts, monkeypatch):
+        rng = np.random.default_rng(len(ts))
+        X, Z = rand_points(rng, 2000, 2), rand_points(rng, 300, 2)
+        v, V = rng.standard_normal(300), rng.standard_normal((300, 6))
+        specs = [KernelSpec(t) for t in ts]
+        wanted = [(k, coef) for k in specs for coef in (v, V, None)]
+        calls = self.gram_calls(monkeypatch)
+        outs = self.read_all(X, Z, wanted)
+        assert sorted({spec for _, spec in calls}, key=lambda k: k.t) == specs  # each kernel's own Gram
+        for (k, coef), out in zip(wanted, outs):
+            G = gaussian_kernel_matrix(X, Z, k)
+            assert np.array_equal(out, G.mean(axis=1) if coef is None else G @ coef)
+
     def test_no_reads_compute_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a Gram or distances were computed with no reads")

@@ -216,6 +216,19 @@ class TestSharedGram:
             assert (m, m) not in shapes
             assert sum(rows for rows, cols in shapes if cols == m) == 40 + m  # G_pq and the blocks of K_qq
 
+    def test_combined_drops_its_p_by_q_gram_before_the_second_product(self):
+        # K_pp, K_H, M and K_pp @ K_pp are the n x n arrays alive at once; G (n x m) is gone by then
+        n, m = 640, 800
+        z_p, z_q = instance(33, n=n, m=m, d=1)
+        tracemalloc.start()
+        try:
+            ests = solve_combined_path(z_p, z_q, KernelSpec(t=0.4), 0.5, [1e-3, 1e-5, 1e-7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(e.v)) for e in ests)
+        assert peak <= 4.5 * 8 * n * n < 4 * 8 * n * n + 8 * n * m
+
 
 def direct_system_oracle(setting, z_p, z_q, k, k_h, lam, k_prime=None, q=None, gamma=None):
     # v of each direct solver with A assembled densely, ridge term from np.eye
