@@ -376,15 +376,15 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
     if cfg.task == "classification" and not (np.all(np.isin(y_tr, (-1.0, 1.0))) and np.all(np.isin(y_te, (-1.0, 1.0)))):
         raise ConfigError("classification labels must be -1/+1")
 
-    cvres, fit = _select_cell(cfg, X_tr, X_rq, None, threads)
-    est = fit(X_tr, X_rq, cvres.selected_t, [cvres.selected_lam])[0]
-    weights = est.evaluate(X_tr, clip_negative=cfg.clip_weights)
-
     n = X_tr.shape[0]
     sizes = cfg.train_sizes if cfg.train_sizes is not None else (n,)
     for s in sizes:
         if s > n:
             raise ConfigError(f"train size {s} exceeds the {n} available rows")
+
+    cvres, fit = _select_cell(cfg, X_tr, X_rq, None, threads)
+    est = fit(X_tr, X_rq, cvres.selected_t, [cvres.selected_lam])[0]
+    weights = est.evaluate(X_tr, clip_negative=cfg.clip_weights)
     perm = np.random.default_rng(derive_seed(cfg.seed, "train-subset")).permutation(n)
 
     metrics = {"weighted": {}, "unweighted": {}}
@@ -414,15 +414,16 @@ def run_downstream(cfg: DownstreamConfig, out_dir, threads=1):
 def run_resample(cfg: ResampleConfig, out_dir):
     X, labels = _load_source(cfg.data, "data", cfg.seed)
     payload = {"total": int(X.shape[0]), "kept_path": "kept.csv"}
-    if cfg.kind == "pca_sigmoid":
+    mode = cfg.mode
+    if mode.kind == "pca_sigmoid":
         # b in units of sigma_v needs sigma_v before the draw; pca_resample reports it otherwise
-        b_abs = cfg.b * first_pc(X)[1] if cfg.b_units == "sigma" else cfg.b
-        res = pca_resample(X, labels, cfg.a, b_abs, derive_seed(cfg.seed, "resample"))
+        b_abs = mode.b * first_pc(X)[1] if mode.b_units == "sigma" else mode.b
+        res = pca_resample(X, labels, mode.a, b_abs, derive_seed(cfg.seed, "resample"))
         payload.update({"sigma_v": res.sigma_v, "b_absolute": float(b_abs)})
     else:
         if labels is None:
             raise ConfigError("label_subset mode needs a label_column in the data source")
-        keep = cfg.labels
+        keep = mode.labels
         if labels.dtype.kind == "f":
             try:
                 keep = [float(l) for l in keep]
@@ -446,12 +447,18 @@ def run_resample(cfg: ResampleConfig, out_dir):
 
 # === entry point ===
 
+# name: (config class, main's call of the runner, help); each call looks its runner up when it runs
 _COMMANDS = {
-    "estimate": (EstimateConfig, "fit a ratio estimate with CV-selected (t, lambda)"),
-    "cv": (EstimateConfig, "run the CV grid only and report the J-score surface"),
-    "simulate": (BenchConfig, "benchmark estimators on analytic densities against the true ratio"),
-    "downstream": (DownstreamConfig, "fit importance-weighted vs unweighted learners under covariate shift"),
-    "resample": (ResampleConfig, "subsample a dataset to induce covariate shift"),
+    "estimate": (EstimateConfig, lambda cfg, out, threads: run_estimate(cfg, out, threads=threads),
+                 "fit a ratio estimate with CV-selected (t, lambda)"),
+    "cv": (EstimateConfig, lambda cfg, out, threads: run_cv(cfg, out, threads=threads),
+           "run the CV grid only and report the J-score surface"),
+    "simulate": (BenchConfig, lambda cfg, out, threads: run_bench(cfg, out, threads=threads),
+                 "benchmark estimators on analytic densities against the true ratio"),
+    "downstream": (DownstreamConfig, lambda cfg, out, threads: run_downstream(cfg, out, threads=threads),
+                   "fit importance-weighted vs unweighted learners under covariate shift"),
+    "resample": (ResampleConfig, lambda cfg, out, threads: run_resample(cfg, out),
+                 "subsample a dataset to induce covariate shift"),
 }
 
 
@@ -463,7 +470,7 @@ def _fail(code, message):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="firedre", description="density-ratio estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -480,7 +487,7 @@ def main(argv=None):
         )
     args = parser.parse_args(argv)
 
-    cls = _COMMANDS[args.command][0]
+    cls, runner, _ = _COMMANDS[args.command]
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -489,23 +496,10 @@ def main(argv=None):
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.command == "estimate":
-            run_estimate(cfg, args.out, threads=args.threads)
-        elif args.command == "cv":
-            run_cv(cfg, args.out, threads=args.threads)
-        elif args.command == "simulate":
-            run_bench(cfg, args.out, threads=args.threads)
-        elif args.command == "downstream":
-            run_downstream(cfg, args.out, threads=args.threads)
-        else:
-            run_resample(cfg, args.out)
-    except ConfigError as exc:
-        _fail(2, str(exc))
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+        runner(cfg, args.out, args.threads)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError, so it goes first
         _fail(3, str(exc))
-    except ValueError as exc:
-        _fail(2, str(exc))
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError among them
         _fail(2, str(exc))
     return 0
 

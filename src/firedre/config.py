@@ -44,14 +44,6 @@ def _check_number(x, where, low=None, high=None, integer=False):
     return int(x) if integer else float(x)
 
 
-def _num(d, name, key, default=None, required=False, **bounds):
-    if d.get(key) is None:
-        if required:
-            raise ConfigError(f"{name}.{key} is required")
-        return default
-    return _check_number(d[key], f"{name}.{key}", **bounds)
-
-
 # === analytic density specs ===
 
 
@@ -94,39 +86,6 @@ def density_to_dict(spec):
     raise TypeError(f"not a density spec: {spec!r}")
 
 
-# === sample sources ===
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Where a sample comes from: a CSV file or an analytic density."""
-
-    csv: str | None = None
-    label_column: int | None = None
-    density: object | None = None
-    n: int | None = None
-
-    @classmethod
-    def from_dict(cls, d, name):
-        d = _take(d, name, {"csv", "label_column", "density", "n"})
-        csv_path = d.get("csv")
-        density = d.get("density")
-        if (csv_path is None) == (density is None):
-            raise ConfigError(f"{name}: exactly one of 'csv' or 'density' is required")
-        if csv_path is not None:
-            if not isinstance(csv_path, str):
-                raise ConfigError(f"{name}.csv must be a path string")
-            label = _num(d, name, "label_column", integer=True)
-            return cls(csv=csv_path, label_column=label)
-        n = _num(d, name, "n", required=True, integer=True, low=1)
-        return cls(density=density_from_dict(density, f"{name}.density"), n=n)
-
-    def to_dict(self):
-        if self.csv is not None:
-            return {"csv": self.csv, "label_column": self.label_column}
-        return {"density": density_to_dict(self.density), "n": self.n}
-
-
 # === declared fields ===
 
 
@@ -143,7 +102,7 @@ def _number(default=None, **bounds):
     return _field(default, lambda x, name, key: _check_number(x, f"{name}.{key}", **bounds), nullable=True)
 
 
-def _choice(default, choices, wording, got=True):
+def _choice(default, choices, wording, got=True, required=False):
     """A value of default's type among choices; got: whether a rejection shows the value."""
 
     def check(x, name, key):
@@ -151,7 +110,7 @@ def _choice(default, choices, wording, got=True):
             raise ConfigError(f"{name}.{key} must be {wording}" + (f", got {x!r}" if got else ""))
         return x
 
-    return _field(default, check)
+    return _field(default, check, required=required)
 
 
 def _flag(default, got=True):
@@ -176,7 +135,7 @@ def _size(v):
 
 
 def _nested(parse, default=None, required=False):
-    """A block, sample source or density spec, parsed with its key as its name."""
+    """A block or density spec, parsed with its key as its name."""
     return _field(default, lambda x, name, key: parse(x, key), required=required,
                   nullable=default is None and not required)
 
@@ -218,6 +177,34 @@ class _Block:
 
     def to_dict(self):
         return {f.metadata["key"] or f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
+# === sample sources ===
+
+
+def _path_string(x, name, key):
+    if not isinstance(x, str):
+        raise ConfigError(f"{name}.{key} must be a path string")
+    return x
+
+
+@dataclass(frozen=True)
+class SourceConfig(_Block):
+    """Where a sample comes from: a CSV file or an analytic density."""
+
+    csv: str | None = _field(None, _path_string, nullable=True)
+    label_column: int | None = _number(integer=True)
+    # named with its dotted path, so a density's messages say where it sits
+    density: object | None = _field(None, lambda x, name, key: density_from_dict(x, f"{name}.{key}"), nullable=True)
+    n: int | None = _number(integer=True, low=1)
+
+    _name = "source"
+
+    def validate(self, name):
+        if (self.csv is None) == (self.density is None):
+            raise ConfigError(f"{name}: exactly one of 'csv' or 'density' is required")
+        if self.density is not None and self.n is None:
+            raise ConfigError(f"{name}.n is required")
 
 
 # === shared solver / grid / cv blocks ===
@@ -346,45 +333,32 @@ class DownstreamConfig(_Block):
 
 
 @dataclass(frozen=True)
-class ResampleConfig:
-    seed: int = 0
-    data: SourceConfig = None
-    kind: str = "pca_sigmoid"
-    a: float | None = None
-    b: float | None = None
-    b_units: str = "absolute"  # or "sigma": b is a multiple of sigma_v
-    labels: tuple | None = None
+class ResampleMode(_Block):
+    """How resample thins its data: a sigmoid of the first principal component, or a label subset."""
 
-    @classmethod
-    def from_dict(cls, d):
-        d = _take(d, "config", {"seed", "data", "mode"})
-        if "data" not in d:
-            raise ConfigError("config.data is required")
-        seed = _num(d, "config", "seed", default=0, integer=True, low=0)
-        data = SourceConfig.from_dict(d["data"], "data")
-        mode = _take(d.get("mode", {}), "mode", {"kind", "a", "b", "b_units", "labels"})
-        kind = mode.get("kind")
-        if kind == "pca_sigmoid":
-            b_units = mode.get("b_units", "absolute")
-            if b_units not in ("absolute", "sigma"):
-                raise ConfigError(f"mode.b_units must be absolute or sigma, got {b_units!r}")
-            a = _num(mode, "mode", "a", required=True)
-            b = _num(mode, "mode", "b", required=True)
-            return cls(seed=seed, data=data, kind=kind, a=a, b=b, b_units=b_units)
-        if kind == "label_subset":
-            labels = mode.get("labels")
-            if not isinstance(labels, list) or not labels:
-                raise ConfigError("mode.labels must be a non-empty list")
-            return cls(seed=seed, data=data, kind=kind, labels=tuple(labels))
-        raise ConfigError(f"mode.kind must be pca_sigmoid or label_subset, got {kind!r}")
+    kind: str = _choice("pca_sigmoid", ("pca_sigmoid", "label_subset"), "pca_sigmoid or label_subset",
+                         required=True)
+    a: float | None = _number()
+    b: float | None = _number()
+    b_units: str = _choice("absolute", ("absolute", "sigma"), "absolute or sigma")  # sigma: b is a multiple of sigma_v
+    labels: tuple | None = _list(None, lambda v: v, lambda v: True, "list", nullable=True)
 
-    def to_dict(self):
-        mode = {"kind": self.kind}
+    _name = "mode"
+
+    def validate(self, name):
         if self.kind == "pca_sigmoid":
-            mode.update({"a": self.a, "b": self.b, "b_units": self.b_units})
-        else:
-            mode["labels"] = list(self.labels)
-        return {"seed": self.seed, "data": self.data.to_dict(), "mode": mode}
+            for key in ("a", "b"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"{name}.{key} is required")
+        elif self.labels is None:
+            raise ConfigError(f"{name}.labels must be a non-empty list")
+
+
+@dataclass(frozen=True)
+class ResampleConfig(_Block):
+    seed: int = _number(0, integer=True, low=0)
+    data: SourceConfig = _nested(SourceConfig.from_dict, required=True)
+    mode: ResampleMode = _nested(ResampleMode.from_dict, required=True)
 
 
 def load_config(path, cls):

@@ -11,7 +11,7 @@ import firedre.cli as cli
 from firedre import kernels, solvers
 from firedre.baselines import lsif_unconstrained, tikde_epsilon_grid, true_ratio
 from firedre.cli import derive_seed, main, write_csv, write_json
-from firedre.config import BenchConfig, DownstreamConfig, EstimateConfig, ResampleConfig
+from firedre.config import BenchConfig, ConfigError, DownstreamConfig, EstimateConfig, ResampleConfig
 from firedre.data import first_pc, load_csv, simulate
 from firedre.kernels import KernelSpec, gaussian_kernel_matrix
 from firedre.linalg import NumericalError, blas_thread_count, blas_threads
@@ -800,6 +800,23 @@ class TestDownstreamCommand:
         out2 = run(tmp_path, "downstream", self.cfg(train, test), out="b")
         assert read_results(out1) == read_results(out2)
         assert (out1 / "weights.csv").read_bytes() == (out2 / "weights.csv").read_bytes()
+
+    def test_oversized_train_size_fails_before_the_cv(self, tmp_path, monkeypatch):
+        train, test = self.make_shifted_task(tmp_path)
+        calls = []
+        kfold_cv = cli.kfold_cv
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return kfold_cv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kfold_cv", spy)
+        cfg = DownstreamConfig.from_dict(self.cfg(train, test, train_sizes=[40, 81]))
+        with pytest.raises(ConfigError) as err:
+            cli.run_downstream(cfg, str(tmp_path / "d"))
+        assert str(err.value) == "train size 81 exceeds the 80 available rows"
+        assert calls == []
+        assert not (tmp_path / "d").exists()
 
     def test_vanishing_weights_exit_3_without_partial_output(self, tmp_path, capsys):
         # train and q samples so far apart that every estimated weight

@@ -249,14 +249,14 @@ class TestResampleConfig:
         cfg = ResampleConfig.from_dict(
             {"data": {"csv": "d.csv"}, "mode": {"kind": "pca_sigmoid", "a": 2.0, "b": 1.0, "b_units": "sigma"}}
         )
-        assert cfg.kind == "pca_sigmoid" and cfg.a == 2.0 and cfg.b_units == "sigma"
+        assert cfg.mode.kind == "pca_sigmoid" and cfg.mode.a == 2.0 and cfg.mode.b_units == "sigma"
         assert ResampleConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_label_subset(self):
         cfg = ResampleConfig.from_dict(
             {"data": {"csv": "d.csv", "label_column": 0}, "mode": {"kind": "label_subset", "labels": [1, 2]}}
         )
-        assert cfg.labels == (1, 2)
+        assert cfg.mode.labels == (1, 2)
         assert ResampleConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_validation(self):

@@ -21,7 +21,9 @@ from firedre.config import (
     EstimateConfig,
     GridConfig,
     ResampleConfig,
+    ResampleMode,
     SolverConfig,
+    SourceConfig,
     SvmConfig,
     ValidationConfig,
 )
@@ -297,33 +299,38 @@ def test_error_message(cls, d, message):
     assert str(err.value) == message
 
 
-# (config class, the smallest dict it accepts)
+# (id, config class, the smallest dict it accepts)
 MINIMAL = [
-    (SolverConfig, {}),
-    (GridConfig, {}),
-    (ValidationConfig, {}),
-    (CVConfig, {}),
-    (SvmConfig, {}),
-    (EstimateConfig, EST),
-    (BenchConfig, BENCH),
-    (DownstreamConfig, DOWN),
-    (ResampleConfig, RES),
+    ("SolverConfig", SolverConfig, {}),
+    ("GridConfig", GridConfig, {}),
+    ("ValidationConfig", ValidationConfig, {}),
+    ("CVConfig", CVConfig, {}),
+    ("SvmConfig", SvmConfig, {}),
+    ("SourceConfig-csv", SourceConfig, {"csv": "d.csv"}),
+    ("SourceConfig-density", SourceConfig, EST["p"]),
+    ("ResampleMode-pca_sigmoid", ResampleMode, RES["mode"]),
+    ("ResampleMode-label_subset", ResampleMode, {"kind": "label_subset", "labels": [1, 2]}),
+    ("EstimateConfig", EstimateConfig, EST),
+    ("BenchConfig", BenchConfig, BENCH),
+    ("DownstreamConfig", DownstreamConfig, DOWN),
+    ("ResampleConfig", ResampleConfig, RES),
 ]
+MINIMAL_PARAMS = [pytest.param(*row[1:], id=row[0]) for row in MINIMAL]
 
 
 def _default(f):
     return f.default if f.default is not dataclasses.MISSING else f.default_factory()
 
 
-@pytest.mark.parametrize("cls, d", MINIMAL, ids=[cls.__name__ for cls, _ in MINIMAL])
+@pytest.mark.parametrize("cls, d", MINIMAL_PARAMS)
 def test_parsed_defaults_are_the_dataclass_defaults(cls, d):
     cfg = cls.from_dict(d)
     for f in dataclasses.fields(cls):
-        if f.name not in d and f.name not in d.get("mode", {}):  # resample's mode fields sit in "mode"
+        if f.name not in d:
             assert getattr(cfg, f.name) == _default(f), f.name
 
 
-@pytest.mark.parametrize("cls, d", MINIMAL, ids=[cls.__name__ for cls, _ in MINIMAL])
+@pytest.mark.parametrize("cls, d", MINIMAL_PARAMS)
 def test_echo_keys_are_the_accepted_keys(cls, d):
     with pytest.raises(ConfigError) as err:
         cls.from_dict({**d, "__probe__": 1})
