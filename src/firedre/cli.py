@@ -20,11 +20,13 @@ distances among its samples once for every fit; each method then lists the
 (kernel, output, coefficients) reads it takes off the evaluation Grams (a
 fire or LSIF estimate is RatioEstimate(centers, v, kernel), read as
 k(X, centers) @ v), and kernels.read_rows applies them by row blocks of the
-evaluation sample, computing each block's distances once.  On a bandwidth
-grid that is a power-of-two chain, as bandwidth_grid's is, each block is
-exponentiated once at the largest t and squared down the grid, so the
-errors agree with one exponential per entry and t to a few parts in 1e12;
-on any other grid each kernel's Gram is built in turn and they are bitwise.
+evaluation sample, computing each block's distances once.  The reader
+sorts each side's kernels into groups and builds each group's array once
+per block: a bandwidth grid that is a power-of-two chain, as
+bandwidth_grid's is, is one group, exponentiated once at the largest t and
+squared down the grid, so the errors agree with one exponential per entry
+and t to a few parts in 1e12; on any other grid each kernel is a group of
+one, its own Gram, and they are bitwise.
 """
 
 import argparse

@@ -117,10 +117,12 @@ def _flag(default, got=True):
     return _choice(default, (True, False), "a boolean", got)
 
 
-def _list(default, item, ok, wording, key=None, nullable=False):
+def _list(default, item, ok, wording, key=None, nullable=False, distinct=False):
     def check(x, name, key):
         if not isinstance(x, list) or not x or not all(ok(v) for v in x):
             raise ConfigError(f"{name}.{key} must be a non-empty {wording}")
+        if distinct and len(set(x)) < len(x):
+            raise ConfigError(f"{name}.{key} must not repeat an entry, got {x}")
         return tuple(item(v) for v in x)
 
     return _field(default, check, key, nullable=nullable)
@@ -297,7 +299,7 @@ class BenchConfig(_Block):
     seed: int = _number(0, integer=True, low=0)
     p_density: object = _nested(density_from_dict, required=True)
     q_density: object = _nested(density_from_dict, required=True)
-    n_grid: tuple = _list((50, 200, 1000), int, _size, "list of ints >= 2")
+    n_grid: tuple = _list((50, 200, 1000), int, _size, "list of ints >= 2", distinct=True)
     m: int = _number(2000, integer=True, low=2)
     repetitions: int = _number(20, integer=True, low=1)
     methods: tuple = _list(METHODS, str, METHODS.__contains__, f"subset of {sorted(METHODS)}")
@@ -319,7 +321,7 @@ class DownstreamConfig(_Block):
     validation: ValidationConfig = _block(ValidationConfig)
     cv: CVConfig = _block(CVConfig)
     svm: SvmConfig = _block(SvmConfig)
-    train_sizes: tuple | None = _list(None, int, _size, "list of ints >= 2", nullable=True)
+    train_sizes: tuple | None = _list(None, int, _size, "list of ints >= 2", nullable=True, distinct=True)
     clip_weights: bool = _flag(True, got=False)
 
     def validate(self, name):

@@ -144,20 +144,22 @@ def product_blocks(rows, others):
     return row_blocks(rows, _product_rows(rows, others))
 
 
-def _ladder(kernels):
-    """[(t, squarings from the rung above, the kernels at t)], largest t first, where the bandwidths form a chain.
+def _groups(kernels, d):
+    """[(spec, [(squarings, kernel, c)])]: a group's array is spec's Gram, squared before each kernel's reads, times c.
 
-    In a power-of-two chain every t is t_max / 2^k exactly (equal frexp
-    mantissas; one t is a chain of one), so exp(-D / (2 t)) is
-    exp(-D / (2 t_max)) squared k times, and -D / (2 t) is 2^k times
-    -D / (2 t_max) bit for bit.  None for a lone kernel or a list that is
-    not a chain.
+    Several kernels whose bandwidths form a power-of-two chain, as those of
+    a bandwidth_grid do, are one group: every t is t_max / 2^k exactly
+    (equal frexp mantissas), so -D / (2 t) is 2^k times -D / (2 t_max) bit
+    for bit and exp(-D / (2 t)) is the unnormalized Gram at t_max squared k
+    times, read with c = c(t).  Any other kernel is a group of one: its own
+    Gram, read with c = 1.
     """
-    ts = sorted({k.t for k in kernels}, reverse=True)
-    if len(kernels) < 2 or len({np.frexp(t)[0] for t in ts}) > 1:
-        return None
-    exps = [int(np.frexp(t)[1]) for t in ts]
-    return [(t, above - e, [k for k in kernels if k.t == t]) for t, e, above in zip(ts, exps, exps[:1] + exps)]
+    if len(kernels) < 2 or len({np.frexp(k.t)[0] for k in kernels}) > 1:
+        return [(k, [(0, k, 1.0)]) for k in kernels]
+    chain = sorted(kernels, key=lambda k: -k.t)
+    exps = [int(np.frexp(k.t)[1]) for k in chain]
+    steps = [(above - e, k, k.scale(d)) for k, e, above in zip(chain, exps, exps[:1] + exps)]
+    return [(KernelSpec(chain[0].t, normalized=False), steps)]
 
 
 def read_rows(X, Z, reads, sq=None):
@@ -165,20 +167,21 @@ def read_rows(X, Z, reads, sq=None):
 
     coef None reads G.mean(axis=1).  The blocks are the row_blocks of the
     largest floor any read needs: _BLOCK_ELEMS entries for a row mean,
-    _product_rows for a product with a vector or an n x L matrix.  Per block:
+    _product_rows for a product with a vector or an n x L matrix.  The
+    kernels fall into groups (_groups), and each block builds each group's
+    array once (gaussian_kernel_matrix) and applies its reads in turn: over
+    the block's own distances when there is one group, else over one
+    D(X[rows], Z), or over sq[rows] when ``sq`` (as in
+    gaussian_kernel_matrix) is given.
 
-    - several kernels whose bandwidths form a power-of-two chain (_ladder),
-      as those of a bandwidth_grid do, share one array: the unnormalized
-      Gram at the largest t (one exponentiation, in place over
-      D(X[rows], Z), or over one copy of sq[rows]), squared in place down
-      to each smaller t.  A normalized read is c(t) times that array's
-      read.  Each squaring doubles the entries' relative error, so a read k
-      squarings down agrees with the Gram's to about 2^k eps |G| @ |coef|.
-    - any other list builds each distinct kernel's Gram in turn
-      (gaussian_kernel_matrix), dropped before the next: a lone kernel's
-      over its own distances, in place; several from one D(X[rows], Z);
-      every one from sq[rows] when ``sq`` (as in gaussian_kernel_matrix)
-      is given.  Each out is then bitwise that read of the whole Gram.
+    - a group of one is its kernel's Gram, so each read is bitwise that
+      read of the whole Gram.
+    - a power-of-two chain is the unnormalized Gram at the largest t,
+      squared in place down to each smaller t, and a normalized read is
+      c(t) times that array's read.  Each squaring doubles the entries'
+      relative error, so a read k squarings down lies within
+      2^(k+2) eps (|G| @ |coef|) of c(t) times the whole unnormalized
+      Gram's read at t (bitwise at k = 0).
 
     With no reads, nothing is computed.
     """
@@ -191,25 +194,17 @@ def read_rows(X, Z, reads, sq=None):
         _BLOCK_ELEMS // Z.shape[0] if coef is None else _product_rows(X.shape[0], coef.size if coef.ndim > 1 else 0)
         for _, _, coef in reads
     )
-    ladder = _ladder(list(by_kernel))
+    groups = _groups(list(by_kernel), Z.shape[1])
     for rows in row_blocks(X.shape[0], least):
         A = X[rows]
-        if ladder:
-            U = gaussian_kernel_matrix(A, Z, KernelSpec(ladder[0][0], normalized=False), None if sq is None else sq[rows])
-            for _, squarings, at_t in ladder:
+        D = sq[rows] if sq is not None else _sq_dists(A, Z) if len(groups) > 1 else None
+        for spec, steps in groups:
+            G = gaussian_kernel_matrix(A, Z, spec, sq=D)
+            for squarings, kernel, c in steps:
                 for _ in range(squarings):
-                    np.multiply(U, U, out=U)
-                for kernel in at_t:
-                    c = kernel.scale(Z.shape[1])
-                    for out, coef in by_kernel[kernel]:
-                        out[rows] = c * (U.mean(axis=1) if coef is None else U @ coef)
-            del U
-            continue
-        D = sq[rows] if sq is not None else _sq_dists(A, Z) if len(by_kernel) > 1 else None
-        for kernel, kernel_reads in by_kernel.items():
-            G = gaussian_kernel_matrix(A, Z, kernel, sq=D)
-            for out, coef in kernel_reads:
-                out[rows] = G.mean(axis=1) if coef is None else G @ coef
+                    np.multiply(G, G, out=G)
+                for out, coef in by_kernel[kernel]:
+                    out[rows] = c * (G.mean(axis=1) if coef is None else G @ coef)
             del G
         del D
 

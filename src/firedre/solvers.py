@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_sample_matrix, gaussian_kernel_matrix, kernel_row_means, read_rows
-from .linalg import RANK_TOL, NumericalError, eigh_descending, pivoted_cholesky, solve_linear, tridiagonal_path
+from .linalg import (
+    RANK_TOL,
+    NumericalError,
+    blas_threads,
+    eigh_descending,
+    pivoted_cholesky,
+    solve_linear,
+    tridiagonal_path,
+)
 
 
 @dataclass(eq=False)
@@ -49,10 +57,15 @@ def _p_grams(z_p, k: KernelSpec, k_h: KernelSpec, sq_pp=None):
 
 
 def evaluate(estimate: RatioEstimate, X, clip_negative=False):
-    """Evaluate a ratio estimate at new points X (shape (m, d)): k(X, centers) @ v, by row blocks."""
+    """Evaluate a ratio estimate at new points X (shape (m, d)): k(X, centers) @ v, by row blocks.
+
+    The products run on one BLAS thread, so the values do not depend on the
+    caller's thread count; inside a command's region this changes nothing.
+    """
     X = as_sample_matrix(X, "X")
     out = np.empty(X.shape[0])
-    read_rows(X, estimate.centers, [(estimate.kernel, out, estimate.v)])
+    with blas_threads(1):
+        read_rows(X, estimate.centers, [(estimate.kernel, out, estimate.v)])
     if clip_negative:
         out = np.maximum(out, 0.0)
     return out

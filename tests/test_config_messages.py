@@ -225,6 +225,8 @@ MESSAGES = [
      "config.n_grid must be a non-empty list of ints >= 2"),
     ("bench-n-grid-null", BenchConfig, over(BENCH, n_grid=None),
      "config.n_grid must be a non-empty list of ints >= 2"),
+    ("bench-n-grid-repeat", BenchConfig, over(BENCH, n_grid=[50, 200, 50]),
+     "config.n_grid must not repeat an entry, got [50, 200, 50]"),
     ("bench-methods-unknown", BenchConfig, over(BENCH, methods=["kmm"]),
      "config.methods must be a non-empty subset of ['fire', 'lsif', 'tikde']"),
     ("bench-methods-empty", BenchConfig, over(BENCH, methods=[]),
@@ -257,6 +259,8 @@ MESSAGES = [
      "config.train_sizes must be a non-empty list of ints >= 2"),
     ("downstream-train-sizes-type", DownstreamConfig, over(DOWN, train_sizes="all"),
      "config.train_sizes must be a non-empty list of ints >= 2"),
+    ("downstream-train-sizes-repeat", DownstreamConfig, over(DOWN, train_sizes=[100, 100]),
+     "config.train_sizes must not repeat an entry, got [100, 100]"),
     ("downstream-clip-weights", DownstreamConfig, over(DOWN, clip_weights="yes"),
      "config.clip_weights must be a boolean"),
     ("downstream-type2", DownstreamConfig, over(DOWN, solver={"setting": "type2"}),

@@ -465,6 +465,49 @@ class TestReadRows:
         kernels.read_rows(np.zeros((300, 1)), np.zeros((5, 1)), [])
 
 
+class TestReadListProperty:
+    """Random read lists against the whole Grams: a group of one bitwise, a chain read within its documented bound."""
+
+    KINDS = st.sampled_from(["mean", "vector", "matrix"])
+    # t = 1, 0.5 and 0.25 form a power-of-two chain; 0.7 is off it
+    CHAIN = st.sampled_from([KernelSpec(t, normalized) for t in (1.0, 0.5, 0.25) for normalized in (True, False)])
+    OFF = st.sampled_from([KernelSpec(0.7, normalized) for normalized in (True, False)])
+
+    @given(
+        st.lists(st.tuples(CHAIN, KINDS), min_size=1, max_size=5),
+        st.lists(st.tuples(OFF, KINDS), max_size=2),
+        st.sampled_from([1, 255, 256, 257, 511, 512, 513, 700, 1100, 1500]),
+        st.sampled_from([40, 300]),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_each_read_agrees_with_the_whole_gram(self, on, off, rows, m, d, with_sq):
+        rng = np.random.default_rng(rows * m + d)
+        X, Z = rand_points(rng, rows, d, 1.5), rand_points(rng, m, d, 1.5)
+        coefs = {"mean": None, "vector": rng.standard_normal(m), "matrix": rng.standard_normal((m, 3))}
+        wanted = [(k, coefs[kind]) for k, kind in on + off]
+        outs = [np.empty((rows, *np.shape(coef)[1:])) for _, coef in wanted]
+        with blas_threads(1):
+            kernels.read_rows(X, Z, [(k, out, coef) for (k, coef), out in zip(wanted, outs)],
+                              kernels._sq_dists(X, Z) if with_sq else None)
+            distinct = {k for k, _ in wanted}
+            chain = len(distinct) > 1 and len({np.frexp(k.t)[0] for k in distinct}) == 1
+            t_max = max(k.t for k in distinct)
+            for (k, coef), out in zip(wanted, outs):
+                if not chain:  # a group of one: its own Gram
+                    G = gaussian_kernel_matrix(X, Z, k)
+                    assert np.array_equal(out, G.mean(axis=1) if coef is None else G @ coef)
+                    continue
+                squarings = int(np.log2(t_max / k.t))
+                U = gaussian_kernel_matrix(X, Z, KernelSpec(k.t, normalized=False))
+                c = k.scale(d)
+                direct, scale = (U.mean(axis=1),) * 2 if coef is None else (U @ coef, U @ np.abs(coef))
+                gap = np.abs(out - c * direct)
+                assert np.all(gap <= 2.0 ** (squarings + 2) * np.finfo(float).eps * c * scale)
+                assert squarings or not gap.any()
+
+
 class TestKde:
     def test_two_point_hand_computation(self):
         # kde of {0, 1} at 0 is (k(0,0) + k(1,0)) / 2

@@ -798,6 +798,21 @@ class TestEvaluateAndValidation:
                 est = RatioEstimate(centers=centers, v=v, kernel=k)
                 assert np.array_equal(est.evaluate(X), product)
 
+    def test_reads_on_one_blas_thread(self, caller_blas_threads, monkeypatch):
+        # a library caller's weights do not depend on its BLAS thread count
+        seen, read_rows = [], solvers.read_rows
+
+        def spy(*args, **kwargs):
+            seen.append(linalg.blas_thread_count())
+            return read_rows(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "read_rows", spy)
+        rng = np.random.default_rng(29)
+        est = RatioEstimate(centers=rng.standard_normal((300, 5)), v=rng.standard_normal(300), kernel=KernelSpec(t=1.0))
+        evaluate(est, rng.standard_normal((640, 5)))
+        assert seen == [1]
+        assert linalg.blas_thread_count() == caller_blas_threads
+
     @pytest.mark.parametrize("lams", [[1e-4], list(LAMBDA_GRID)], ids=["one_lam", "six_lams"])
     def test_every_estimate_reads_as_kernel_times_v(self, lams):
         # one format: every solver's, path's and LSIF's estimate is
