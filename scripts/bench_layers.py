@@ -14,11 +14,10 @@ the median over REPEATS calls, after one warm-up call, of:
   build ships it, with `route`, the way the path solved it: "rank r" (an
   r x r eigendecomposition from a pivoted Cholesky factor), "tridiagonal"
   (one tridiagonal reduction of K_pp and a banded solve per lambda, where
-  the factor gives up and the build has the reduction) or "eigh" (the dense
-  n x n eigendecomposition)
+  the factor gives up and LAPACKE is found) or "eigh" (the dense n x n
+  eigendecomposition)
 - path_dense_ms: the same path with the factor and the reduction switched
-  off, so it runs the dense eigendecomposition (equal to path_ms on builds
-  without either)
+  off, so it runs the dense eigendecomposition
 
 d = 1 uses a two-component Gaussian mixture and the normalized kernel at
 t = 0.4, where K_pp is numerically low rank; d = 5 uses standard normal
@@ -28,15 +27,13 @@ For each LSIF size (n p-points and the first n of 2n q-points, drawn as
 above, at bandwidth t) it records, over the six-value lambda grid:
 
 - lsif_ms: `baselines.lsif_unconstrained`, as the build ships it (a
-  low-rank factor of H where the build has the engine), with `lsif_rank`,
-  the rank of that factor, or null when the build has no engine or the
-  factor gives up
-- lsif_dense_ms: the same call with the engine switched off, so every
-  lambda takes the dense m x m solve (equal to lsif_ms on builds without
-  the engine)
+  low-rank factor of H), with `lsif_rank`, the rank of that factor, or
+  null when the factor gives up
+- lsif_dense_ms: the same call with the factor switched off, so every
+  lambda takes the dense m x m solve
 
-At d = 1 these are the p- and q-densities of the paper's dataset 1 (LSIF's
-kernel is always normalized).
+At d = 1 these are the p- and q-densities of the paper's dataset 1,
+`harness.P_1D` and `harness.Q_1D` (LSIF's kernel is always normalized).
 
 For each CV size it also records, as kfold_cv_ms, the median over REPEATS
 calls of `selection.kfold_cv` with `fit_factory("type1")` over the ten-value
@@ -63,9 +60,7 @@ For each final-fit size (n p-points and m q-points with the coordinate
 spreads of shift-5d's data, unnormalized kernel at bandwidth t) it records
 the median over REPEATS calls of the final fit of `estimate` and
 `downstream`, fit_factory("type1", normalized=False)(z_p, z_q, t, [lam])[0]:
-the type1 path at one lambda, which is the direct solve with k_H = k (on
-a build whose one-lambda path takes the path's own route, it times that
-route):
+the type1 path at one lambda, which is the direct solve with k_H = k:
 
 - fit_ms: the whole call, on one BLAS thread, as every command runs it
 - fit_cpu_ms: the process's CPU time, all threads, from the start of that
@@ -129,23 +124,21 @@ BLAS thread counts and the BLAS thread settings found in the environment.
 It is appended to the "records" list of --out, so records of several builds
 sit side by side.
 
---src imports firedre from another checkout's src/ directory, to time two
-versions with the same harness:
+--src imports firedre from another checkout's src/ directory (one at or
+after commit 9d0d85f), to time two versions with the same harness:
 
     python scripts/bench_layers.py --label change
     python scripts/bench_layers.py --label parent --src ../parent/src
 """
 
-import argparse
-import contextlib
-import json
-import os
 import sys
 import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+
+import harness
 
 # (name, n, d, t, normalized); m = 2n
 SIZES = (
@@ -208,32 +201,19 @@ GRAM_SIZES = (
     ("gram_300x300_d1", 300, 300, 1),
     ("gram_2000x300_d1", 2000, 300, 1),
 )
-STD_5D = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
 
 
 def median_ms(fn):
     fn()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return 1e3 * times[len(times) // 2]
+    return 1e3 * harness.median(harness.timed(fn, REPEATS)[0])
 
 
 def median_wall_cpu_ms(fn):
     """Medians of fn()'s wall time and of the process's CPU time up to SETTLE_S after it, in ms."""
     fn()
     time.sleep(SETTLE_S)
-    walls, cpus = [], []
-    for _ in range(REPEATS):
-        c0, t0 = time.process_time(), time.perf_counter()
-        fn()
-        walls.append(time.perf_counter() - t0)
-        time.sleep(SETTLE_S)
-        cpus.append(time.process_time() - c0)
-    return 1e3 * sorted(walls)[len(walls) // 2], 1e3 * sorted(cpus)[len(cpus) // 2]
+    walls, cpus, _ = harness.timed(fn, REPEATS, SETTLE_S)
+    return 1e3 * harness.median(walls), 1e3 * harness.median(cpus)
 
 
 def peak_mb(fn):
@@ -247,23 +227,18 @@ def peak_mb(fn):
 
 
 def samples(rng, n, d):
-    if d == 1:
-        mixture = np.concatenate([rng.normal(-2.0, 1.0, n // 2), rng.normal(2.0, 0.5, n - n // 2)])
-        return rng.permutation(mixture)[:, None], rng.normal(0.0, 0.5, (2 * n, 1))
+    if d == 1:  # dataset 1, with n // 2 of the p-points from its first component
+        low, high = harness.P_1D["components"]
+        mixture = np.concatenate([rng.normal(low["mean"][0], low["std"], n // 2),
+                                  rng.normal(high["mean"][0], high["std"], n - n // 2)])
+        return rng.permutation(mixture)[:, None], rng.normal(harness.Q_1D["mean"][0], harness.Q_1D["std"], (2 * n, 1))
     return rng.standard_normal((n, d)), rng.standard_normal((2 * n, d))
 
 
 def cv_samples(rng, n, m, d):
     if d == 5:
-        return rng.standard_normal((n, d)) * STD_5D, rng.standard_normal((m, d)) * STD_5D
+        return rng.standard_normal((n, d)) * harness.STD_5D, rng.standard_normal((m, d)) * harness.STD_5D
     return rng.standard_normal((n, 1)), rng.normal(0.5, 0.8, (m, 1))
-
-
-def dataset1(baselines):
-    """p and q of the paper's dataset 1: a two-component Gaussian mixture and N(0, 0.5^2)."""
-    p = baselines.MixtureDensity(weights=(0.5, 0.5), components=(
-        baselines.GaussianDensity(mean=(-2.0,), std=1.0), baselines.GaussianDensity(mean=(2.0,), std=0.5)))
-    return p, baselines.GaussianDensity(mean=(0.0,), std=0.5)
 
 
 def route(solvers, linalg, path, n):
@@ -312,10 +287,8 @@ def run():
             row["eigh_ms"] = median_ms(lambda: linalg.eigh_descending(K_pp))
             row["route"] = route(solvers, linalg, path, n)
             row["path_ms"] = median_ms(path)
-            with contextlib.ExitStack() as dense:
-                for owner, attr in ((solvers, "pivoted_cholesky"), (linalg, "_lapacke")):
-                    if hasattr(owner, attr):
-                        dense.enter_context(mock.patch.object(owner, attr, return_value=None))
+            with mock.patch.object(solvers, "pivoted_cholesky", return_value=None), \
+                    mock.patch.object(linalg, "_lapacke", return_value=None):
                 row["path_dense_ms"] = median_ms(path)
             results[name] = row
         for name, n, d, t in LSIF_SIZES:
@@ -325,24 +298,20 @@ def run():
             def lsif():
                 return baselines.lsif_unconstrained(z_p, z_q, t, lams)
 
-            row = {"n": n, "m": n, "d": d, "t": t, "lsif_ms": median_ms(lsif), "lsif_rank": None}
-            if hasattr(baselines, "pivoted_cholesky"):
-                factors = []
+            factors = []
 
-                def factor(K, tol, cap):
-                    factors.append(linalg.pivoted_cholesky(K, tol, cap))
-                    return factors[-1]
+            def factor(*args):
+                factors.append(linalg.pivoted_cholesky(*args))
+                return factors[-1]
 
-                with mock.patch.object(baselines, "pivoted_cholesky", factor):
-                    lsif()
-                if factors[0] is not None:
-                    row["lsif_rank"] = factors[0].shape[0]
-                with mock.patch.object(baselines, "pivoted_cholesky", return_value=None):
-                    row["lsif_dense_ms"] = median_ms(lsif)
-            else:
-                row["lsif_dense_ms"] = row["lsif_ms"]
+            with mock.patch.object(baselines, "pivoted_cholesky", factor):
+                lsif()
+            rank = None if factors[0] is None else factors[0].shape[0]
+            row = {"n": n, "m": n, "d": d, "t": t, "lsif_ms": median_ms(lsif), "lsif_rank": rank}
+            with mock.patch.object(baselines, "pivoted_cholesky", return_value=None):
+                row["lsif_dense_ms"] = median_ms(lsif)
             results[name] = row
-        p, q = dataset1(baselines)
+        p, q = harness.dataset1()
         oracle = baselines.true_ratio(p, q)
         rng = np.random.default_rng(4)
         for name, n, m, eval_n in TRIAL_SIZES:
@@ -360,10 +329,8 @@ def run():
         rng = np.random.default_rng(5)
         for name, n, d in EVAL_SIZES:
             centers = cv_samples(rng, n, 0, d)[0]
-            # a build whose RatioEstimate still has a coefficient scale reads "plain" as k(X, centers) @ v
-            plain = {"scale": "plain"} if "scale" in solvers.RatioEstimate.__dataclass_fields__ else {}
             est = solvers.RatioEstimate(centers=centers, v=rng.standard_normal(n),
-                                        kernel=kernels.KernelSpec(t=1.0, normalized=False), **plain)
+                                        kernel=kernels.KernelSpec(t=1.0, normalized=False))
 
             def weights():
                 return solvers.evaluate(est, centers)
@@ -391,7 +358,7 @@ def run():
             pool = cv_samples(rng, rows, 0, d)[0]
 
             def resample():
-                return data.pca_resample(pool, None, 2.5, 1.0, seed=4)
+                return data.pca_resample(pool, None, harness.SHIFT_A, harness.SHIFT_B, seed=4)
 
             results[name] = {"rows": rows, "d": d, "pca_resample_ms": median_ms(resample),
                              "kept": int(resample().mask.sum())}
@@ -421,72 +388,13 @@ def run():
         row["fit_blas_ms"], row["fit_blas_cpu_ms"] = median_wall_cpu_ms(fit)
         row["solve_ms"] = row["fit_ms"] - row["grams_ms"]
         results[name] = row
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "lapacke": getattr(linalg, "_lapacke", lambda: None)() is not None,
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "blas_threads": {"outside_cells": linalg.blas_thread_count(), "timed": inside},
-        "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
-        "results": results,
-    }
+    blas_threads = {"outside_cells": linalg.blas_thread_count(), "timed": inside}
+    return {**harness.provenance(blas_threads, lapacke=linalg._lapacke() is not None), "results": results}
 
 
 def main(argv=None):
-    here = os.path.dirname(os.path.abspath(__file__))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="name of the build being timed")
-    parser.add_argument("--src", default=os.path.join(here, "..", "src"), help="directory holding the firedre package")
-    parser.add_argument("--out", default=os.path.join(here, "..", "BENCH_layers.json"), help="JSON file to append to")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    record = {"label": args.label, **run()}
-    data = {"records": []}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    data["records"].append(record)
-    with open(args.out, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    for name, r in record["results"].items():
-        if "lsif_ms" in r:
-            print(f"{args.label:>8} {name:>14}  lsif {r['lsif_ms']:9.2f} ms (rank {r['lsif_rank']})"
-                  f"  dense lsif {r['lsif_dense_ms']:9.2f} ms")
-            continue
-        if "fit_ms" in r:
-            print(f"{args.label:>8} {name:>14}  type1 fit {r['fit_ms']:9.2f} ms (cpu {r['fit_cpu_ms']:9.2f} ms)"
-                  f"  on the process's BLAS threads {r['fit_blas_ms']:9.2f} ms (cpu {r['fit_blas_cpu_ms']:9.2f} ms)"
-                  f"  grams {r['grams_ms']:9.2f} ms  solve after the grams {r['solve_ms']:9.2f} ms"
-                  f"  traced peak {r['fit_peak_mb']:6.2f} MiB")
-            continue
-        if "eval_ms" in r:
-            print(f"{args.label:>8} {name:>14}  evaluate {r['eval_ms']:9.2f} ms  traced peak {r['eval_peak_mb']:6.2f} MiB")
-            continue
-        if "kde_ms" in r:
-            print(f"{args.label:>8} {name:>14}  kde {r['kde_ms']:9.2f} ms  traced peak {r['kde_peak_mb']:6.2f} MiB")
-            continue
-        if "combined_ms" in r:
-            print(f"{args.label:>8} {name:>14}  solve_combined_path {r['combined_ms']:9.2f} ms"
-                  f"  traced peak {r['combined_peak_mb']:6.2f} MiB")
-            continue
-        if "pca_resample_ms" in r:
-            print(f"{args.label:>8} {name:>14}  pca_resample {r['pca_resample_ms']:9.2f} ms  kept {r['kept']}")
-            continue
-        if "trial_ms" in r:
-            print(f"{args.label:>8} {name:>14}  _bench_trial {r['trial_ms']:9.2f} ms"
-                  f"  traced peak {r['trial_peak_mb']:6.2f} MiB  errors {r['errors']}")
-            continue
-        if "sq_dists_ms" in r:
-            print(f"{args.label:>8} {name:>14}  _sq_dists {r['sq_dists_ms']:9.2f} ms  gram {r['gram_ms']:9.2f} ms")
-            continue
-        if "kfold_cv_ms" in r:
-            print(f"{args.label:>8} {name:>14}  kfold_cv {r['kfold_cv_ms']:9.2f} ms  selected {r['selected']}")
-            continue
-        print(f"{args.label:>8} {name:>14}  eigh {r['eigh_ms']:9.2f} ms  path {r['path_ms']:9.2f} ms"
-              f" ({r['route']:>11})  dense path {r['path_dense_ms']:9.2f} ms")
+    args = harness.options(argv, __doc__, "BENCH_layers.json")
+    harness.append(args.out, args.label, run())
     return 0
 
 

@@ -6,7 +6,8 @@ along the first principal component, so the training distribution is shifted
 relative to the test distribution.  Density-ratio weights are estimated from
 the shifted training features and an unshifted feature sample, and weighted
 OLS is compared to unweighted OLS on held-out unshifted data across a ladder
-of training-set sizes.
+of training-set sizes.  The task is `harness.shift_inputs`, the one whose
+c08 trial `bench_e2e.py` times.
 
 Artifacts (CSVs, JSON results, config echo) are written to --out.
 
@@ -19,32 +20,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from firedre.cli import run_downstream, write_csv
+import harness
+from firedre.cli import run_downstream
 from firedre.config import DownstreamConfig
-from firedre.data import pca_resample
-
-BETA = np.array([1.0, -1.0, 0.5, 0.0, 2.0])
-STD = np.array([3.0, 0.7, 0.7, 0.7, 0.7])
-SHIFT_A, SHIFT_B = 2.5, 1.0
-
-
-def keep_probability(X):
-    z = (SHIFT_A * X[:, 0] - SHIFT_B) / STD[0]
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def response(X, rng):
-    sd = 0.15 + 4.0 * keep_probability(X)
-    return X @ BETA + sd * rng.standard_normal(X.shape[0])
-
-
-def write_xy_csv(path, X, y):
-    header = [f"x{j}" for j in range(X.shape[1])] + ["y"]
-    write_csv(path, header, np.hstack([X, y[:, None]]))
 
 
 def main():
@@ -56,38 +36,11 @@ def main():
     parser.add_argument("--train-sizes", type=int, nargs="+", default=[100, 200, 400, 800])
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    pool = rng.standard_normal((args.pool, 5)) * STD
-    y_pool = response(pool, rng)
-    kept = pca_resample(pool, y_pool, SHIFT_A, SHIFT_B, seed=args.seed + 99)
-    X_test = rng.standard_normal((1000, 5)) * STD
-    y_test = response(X_test, rng)
-    X_ratio_q = rng.standard_normal((2000, 5)) * STD
-    print(f"training pool {args.pool} rows -> {kept.X.shape[0]} kept after shift thinning")
-
     os.makedirs(args.out, exist_ok=True)
-    train_csv = os.path.join(args.out, "train.csv")
-    test_csv = os.path.join(args.out, "test.csv")
-    ratio_q_csv = os.path.join(args.out, "ratio_q.csv")
-    write_xy_csv(train_csv, kept.X, kept.labels)
-    write_xy_csv(test_csv, X_test, y_test)
-    write_csv(ratio_q_csv, [f"x{j}" for j in range(5)], X_ratio_q)
-
-    sizes = [s for s in args.train_sizes if s <= kept.X.shape[0]]
-    cfg = DownstreamConfig.from_dict({
-        "seed": args.seed,
-        "task": "regression",
-        "train": {"csv": train_csv, "label_column": 5},
-        "test": {"csv": test_csv, "label_column": 5},
-        "ratio_q": {"csv": ratio_q_csv},
-        # unnormalized kernels keep the Gram spectrum O(1) in d=5, where the
-        # density-normalized prefactor would push every grid lambda into the
-        # over-smoothed regime
-        "solver": {"setting": "type1", "normalized": False},
-        "validation": {"count": 20},
-        "cv": {"max_points": 400},
-        "train_sizes": sizes,
-    })
+    cfg, kept = harness.shift_inputs(args.out, args.seed, pool=args.pool)
+    print(f"training pool {args.pool} rows -> {kept} kept after shift thinning")
+    sizes = [s for s in args.train_sizes if s <= kept]
+    cfg = DownstreamConfig.from_dict({**cfg, "train_sizes": sizes})
     t0 = time.perf_counter()
     payload = run_downstream(cfg, args.out, threads=args.threads)
     elapsed = time.perf_counter() - t0

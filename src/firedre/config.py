@@ -229,9 +229,9 @@ class SolverConfig(_Block):
 @dataclass(frozen=True)
 class GridConfig(_Block):
     # None: the data-driven doubling grid
-    t: tuple | None = _list(None, float, _positive, "list of positive numbers", nullable=True)
+    t: tuple | None = _list(None, float, _positive, "list of positive numbers", nullable=True, distinct=True)
     lam: tuple = _list(tuple(float(x) for x in LAMBDA_GRID), float, _positive, "list of positive numbers",
-                       key="lambda", nullable=True)
+                       key="lambda", nullable=True, distinct=True)
     neighbors: int = _number(10, integer=True, low=1)
     size: int = _number(10, integer=True, low=1)
 
@@ -302,7 +302,7 @@ class BenchConfig(_Block):
     n_grid: tuple = _list((50, 200, 1000), int, _size, "list of ints >= 2", distinct=True)
     m: int = _number(2000, integer=True, low=2)
     repetitions: int = _number(20, integer=True, low=1)
-    methods: tuple = _list(METHODS, str, METHODS.__contains__, f"subset of {sorted(METHODS)}")
+    methods: tuple = _list(METHODS, str, METHODS.__contains__, f"subset of {sorted(METHODS)}", distinct=True)
     eval_n: int = _number(1000, integer=True, low=10)
     solver: SolverConfig = _block(SolverConfig)
     grids: GridConfig = _block(GridConfig)

@@ -90,6 +90,10 @@ MESSAGES = [
      "grids.lambda must be a non-empty list of positive numbers"),
     ("grids-lambda-nan", GridConfig, {"lambda": [1e-3, NAN]},
      "grids.lambda must be a non-empty list of positive numbers"),
+    ("grids-t-repeat", GridConfig, {"t": [0.5, 1.0, 1.0]},
+     "grids.t must not repeat an entry, got [0.5, 1.0, 1.0]"),
+    ("grids-lambda-repeat", GridConfig, {"lambda": [1e-3, 1e-4, 1e-3]},
+     "grids.lambda must not repeat an entry, got [0.001, 0.0001, 0.001]"),
     ("grids-neighbors-low", GridConfig, {"neighbors": 0},
      "grids.neighbors must be >= 1, got 0"),
     ("grids-neighbors-int", GridConfig, {"neighbors": 1.5},
@@ -231,6 +235,8 @@ MESSAGES = [
      "config.methods must be a non-empty subset of ['fire', 'lsif', 'tikde']"),
     ("bench-methods-empty", BenchConfig, over(BENCH, methods=[]),
      "config.methods must be a non-empty subset of ['fire', 'lsif', 'tikde']"),
+    ("bench-methods-repeat", BenchConfig, over(BENCH, methods=["fire", "fire"]),
+     "config.methods must not repeat an entry, got ['fire', 'fire']"),
     ("bench-m-low", BenchConfig, over(BENCH, m=1),
      "config.m must be >= 2, got 1"),
     ("bench-repetitions-low", BenchConfig, over(BENCH, repetitions=0),
